@@ -157,12 +157,11 @@ double MeanSelectSeconds(const NamedDataset& dataset,
 
 // One pruned delta-MEU session at a given lane count: mean select time, the
 // exact selected-item sequence (the determinism witness CI diffs across
-// thread counts), and the scan's pruning/steal counters.
+// thread counts), and the scan's pruning counter.
 struct ThreadSweepRun {
   double mean_select_seconds = -1.0;
   std::string selected;  // Space-joined item ids in validation order.
   std::size_t candidates_pruned = 0;
-  std::size_t pool_steals = 0;
 };
 
 ThreadSweepRun RunMeuSession(const NamedDataset& dataset, Strategy* strategy,
@@ -194,7 +193,6 @@ ThreadSweepRun RunMeuSession(const NamedDataset& dataset, Strategy* strategy,
   const MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
   out.candidates_pruned =
       static_cast<std::size_t>(snap.Value("meu.candidates_pruned"));
-  out.pool_steals = static_cast<std::size_t>(snap.Value("meu.pool_steals"));
   return out;
 }
 
@@ -341,8 +339,8 @@ int WriteBenchJson(const std::string& path, ScaleMode mode) {
         .Set("oracle_retry_retries",
              static_cast<std::size_t>(phases.Value("oracle.retry.retries")));
 
-    // Thread sweep over the pruned work-stealing scan. The selected
-    // sequence must be identical at every lane count (the pool's
+    // Thread sweep over the pruned scan on the shared-cursor pool. The
+    // selected sequence must be identical at every lane count (the scan's
     // determinism contract); CI diffs the 1-thread and 2-thread strings and
     // asserts candidates_pruned > 0.
     MeuScanOptions no_prune;
@@ -362,7 +360,6 @@ int WriteBenchJson(const std::string& path, ScaleMode mode) {
           .Set("meu_step_delta_seconds", run.mean_select_seconds)
           .Set("meu_step_unpruned_seconds", meu_delta_unpruned_s)
           .Set("candidates_pruned", run.candidates_pruned)
-          .Set("pool_steals", run.pool_steals)
           .Set("selected", run.selected)
           .Set("selected_matches_1t", run.selected == one_thread.selected)
           .Set("speedup_vs_1t",

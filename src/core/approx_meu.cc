@@ -90,42 +90,77 @@ std::vector<double> EstimateUpdatedProbsLiteral(const Database& db,
   return updated;
 }
 
-double ApproxMeuStrategy::ExpectedEntropyAfterValidation(
-    const StrategyContext& ctx, ItemId item,
-    const std::vector<bool>* impact_filter) {
-  assert(ctx.graph != nullptr && "ApproxMeu requires ctx.graph");
+namespace {
+
+// Baseline entropies shared by every candidate of one scan.
+struct EntropyBaseline {
+  std::vector<double> item;
+  double total = 0.0;
+};
+
+EntropyBaseline ComputeBaseline(const Database& db,
+                                const FusionResult& fusion) {
+  EntropyBaseline baseline;
+  baseline.item.assign(db.num_items(), 0.0);
+  for (ItemId i = 0; i < db.num_items(); ++i) {
+    baseline.item[i] = fusion.ItemEntropy(i);
+    baseline.total += baseline.item[i];
+  }
+  return baseline;
+}
+
+// Expected total entropy after validating `i` under the differential
+// estimate (Eq. 13): the per-candidate body of every Approx-MEU scan. The
+// validated item's entropy drops to zero; neighbours move by the
+// differential estimate; everything farther keeps its entropy (Theorem 4.1
+// truncation). A non-null `confine` keeps the impact inside i's own shard.
+// `neighbors` is caller-owned scratch.
+double ExpectedEntropyAt(const StrategyContext& ctx, ItemId i,
+                         const EntropyBaseline& baseline,
+                         const std::vector<bool>* impact_filter,
+                         const ShardPartition* confine,
+                         std::vector<ItemId>* neighbors) {
   const Database& db = *ctx.db;
   const FusionResult& fusion = *ctx.fusion;
-
-  const double total_entropy = fusion.TotalEntropy();
-  std::vector<ItemId> neighbors;
-  ctx.graph->CollectNeighbors(item, &neighbors);
-
+  const std::uint32_t home_shard =
+      confine != nullptr ? confine->shard_of(i) : 0;
+  ctx.graph->CollectNeighbors(i, neighbors);
   double expected = 0.0;
-  for (ClaimIndex t = 0; t < db.num_claims(item); ++t) {
-    const double pt = fusion.prob(item, t);
-    if (pt <= 0.0) continue;
-    const AccuracyDeltas deltas = ComputeAccuracyDeltas(db, fusion, item, t);
-    // The validated item's entropy drops to zero; neighbours move by the
-    // differential estimate; everything farther keeps its entropy
-    // (Theorem 4.1 truncation).
-    double estimate = total_entropy - fusion.ItemEntropy(item);
-    for (ItemId j : neighbors) {
+  for (ClaimIndex t = 0; t < db.num_claims(i); ++t) {
+    const double pt = fusion.prob(i, t);
+    if (pt <= 0.0) continue;  // Zero-probability hypotheses contribute 0.
+    const AccuracyDeltas deltas = ComputeAccuracyDeltas(db, fusion, i, t);
+    double estimate = baseline.total - baseline.item[i];
+    for (ItemId j : *neighbors) {
       if (ctx.priors->Has(j)) continue;  // Pinned distributions do not move.
       if (impact_filter != nullptr && !(*impact_filter)[j]) continue;
+      if (confine != nullptr && confine->shard_of(j) != home_shard) {
+        continue;  // Stage-1 confinement: impact never leaves i's shard.
+      }
       if (db.num_claims(j) <= 1) continue;
       const std::vector<double> updated =
           EstimateUpdatedProbs(db, fusion, j, deltas);
-      estimate += Entropy(updated) - fusion.ItemEntropy(j);
+      estimate += Entropy(updated) - baseline.item[j];
     }
     expected += pt * estimate;
   }
   return expected;
 }
 
+}  // namespace
+
+double ApproxMeuStrategy::ExpectedEntropyAfterValidation(
+    const StrategyContext& ctx, ItemId item,
+    const std::vector<bool>* impact_filter) {
+  assert(ctx.graph != nullptr && "ApproxMeu requires ctx.graph");
+  std::vector<ItemId> neighbors;
+  return ExpectedEntropyAt(ctx, item, ComputeBaseline(*ctx.db, *ctx.fusion),
+                           impact_filter, /*confine=*/nullptr, &neighbors);
+}
+
 std::vector<double> ApproxMeuStrategy::ScoreCandidates(
     const StrategyContext& ctx, const std::vector<ItemId>& candidates,
-    const std::vector<bool>* impact_filter, ThreadPool* pool,
+    const std::vector<bool>* impact_filter, CandidateScan* scan,
     const ShardPartition* confine) {
   assert(ctx.graph != nullptr && "ApproxMeu requires ctx.graph");
   VERITAS_SPAN("strategy.approx_meu.score");
@@ -135,61 +170,20 @@ std::vector<double> ApproxMeuStrategy::ScoreCandidates(
       "strategy.approx_meu.candidates", MetricsRegistry::CountEdges());
   lookaheads->Add(candidates.size());
   candidates_hist->Observe(static_cast<double>(candidates.size()));
-  const Database& db = *ctx.db;
-  const FusionResult& fusion = *ctx.fusion;
 
-  // Baseline entropies, computed once.
-  std::vector<double> item_entropy(db.num_items(), 0.0);
-  double total_entropy = 0.0;
-  for (ItemId i = 0; i < db.num_items(); ++i) {
-    item_entropy[i] = fusion.ItemEntropy(i);
-    total_entropy += item_entropy[i];
-  }
-
-  std::vector<double> gains(candidates.size(), 0.0);
-  const ThreadPool::Body body = [&](std::size_t lane, std::size_t begin,
-                                    std::size_t end) {
-    (void)lane;
-    std::vector<ItemId> neighbors;  // Per-chunk scratch.
-    for (std::size_t idx = begin; idx < end; ++idx) {
-      // Hard stop: abandon the scan; `gains` stays parallel to `candidates`
-      // for TopKByScore (the session discards the round anyway).
-      if (HardStopRequested(ctx.cancel)) return;
-      const ItemId i = candidates[idx];
-      const std::uint32_t home_shard =
-          confine != nullptr ? confine->shard_of(i) : 0;
-      ctx.graph->CollectNeighbors(i, &neighbors);
-      double expected = 0.0;
-      for (ClaimIndex t = 0; t < db.num_claims(i); ++t) {
-        const double pt = fusion.prob(i, t);
-        if (pt <= 0.0) continue;
-        const AccuracyDeltas deltas = ComputeAccuracyDeltas(db, fusion, i, t);
-        double estimate = total_entropy - item_entropy[i];
-        for (ItemId j : neighbors) {
-          if (ctx.priors->Has(j)) continue;
-          if (impact_filter != nullptr && !(*impact_filter)[j]) continue;
-          if (confine != nullptr && confine->shard_of(j) != home_shard) {
-            continue;  // Stage-1 confinement: impact never leaves i's shard.
-          }
-          if (db.num_claims(j) <= 1) continue;
-          const std::vector<double> updated =
-              EstimateUpdatedProbs(db, fusion, j, deltas);
-          estimate += Entropy(updated) - item_entropy[j];
-        }
-        expected += pt * estimate;
-      }
-      // Delta EU_i of Eq. (13).
-      gains[idx] = total_entropy - expected;
-    }
-  };
-  constexpr std::size_t kSerialCutoff = 32;
-  if (pool == nullptr || pool->lanes() <= 1 ||
-      candidates.size() < kSerialCutoff) {
-    body(/*lane=*/0, 0, candidates.size());
-  } else {
-    pool->ParallelFor(candidates.size(), /*chunk_size=*/8, body);
-  }
-  return gains;
+  CandidateScan serial;
+  if (scan == nullptr) scan = &serial;
+  const EntropyBaseline baseline = ComputeBaseline(*ctx.db, *ctx.fusion);
+  std::vector<std::vector<ItemId>> neighbors(scan->lanes());  // Per lane.
+  return scan->Gains(
+      candidates,
+      [&](std::size_t lane, std::size_t idx) {
+        // Delta EU_i of Eq. (13).
+        return baseline.total - ExpectedEntropyAt(ctx, candidates[idx],
+                                                  baseline, impact_filter,
+                                                  confine, &neighbors[lane]);
+      },
+      ctx.cancel);
 }
 
 std::vector<ItemId> ApproxMeuStrategy::SelectBatch(const StrategyContext& ctx,
@@ -198,46 +192,35 @@ std::vector<ItemId> ApproxMeuStrategy::SelectBatch(const StrategyContext& ctx,
       "strategy.approx_meu.select_calls");
   select_calls->Add(1);
   const std::vector<ItemId> candidates = CandidateItems(ctx);
-  if (num_threads_ > 1 && pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(num_threads_);
-  }
   const std::size_t shards =
       ctx.fusion_opts != nullptr ? ctx.fusion_opts->shards : 1;
-  if (shards > 1 && ctx.delta != nullptr && candidates.size() > batch) {
-    return SelectBatchSharded(ctx, candidates, batch, shards);
+  if (shards <= 1 || ctx.delta == nullptr || candidates.size() <= batch) {
+    const std::vector<double> gains =
+        ScoreCandidates(ctx, candidates, /*impact_filter=*/nullptr, &scan_);
+    return TopKByScore(candidates, gains, batch);
   }
-  const std::vector<double> gains =
-      ScoreCandidates(ctx, candidates, /*impact_filter=*/nullptr, pool_.get());
-  return TopKByScore(candidates, gains, batch);
-}
 
-std::vector<ItemId> ApproxMeuStrategy::SelectBatchSharded(
-    const StrategyContext& ctx, const std::vector<ItemId>& candidates,
-    std::size_t batch, std::size_t shards) {
+  // The sharded two-stage selection (fusion/sharded_scan.h). Stage 1 is one
+  // pooled scan over ALL candidates with the partition as the confinement
+  // predicate — each candidate's entropy impact only counts neighbours in
+  // its own shard, so a head source's cross-shard fan-out is never walked
+  // during the estimate pass. Confinement is a pure function of
+  // (partition, i, j) and gains land in disjoint slots, so the result is
+  // identical for any shard x thread combination (asserted by
+  // fusion_sharded_scan_test). Stage 2 re-scores the merged pool unfiltered.
   VERITAS_SPAN("strategy.approx_meu.select_sharded");
   shard_plan_.Prepare(ctx.delta->compiled(), shards);
   const ShardPartition& partition = shard_plan_.partition();
-  const std::size_t quota = ShardedScanPlan::MergeQuota(batch);
-
-  // Stage 1: one pooled scan over ALL candidates with the partition as the
-  // confinement predicate — each candidate's entropy impact only counts
-  // neighbours in its own shard, so a head source's cross-shard fan-out is
-  // never walked during the estimate pass. Confinement is a pure function
-  // of (partition, i, j) and gains land in disjoint slots, so candidates of
-  // different shards score concurrently on the pool's lanes and the result
-  // is identical for any shard x thread combination (asserted by
-  // fusion_sharded_scan_test). This replaces a serial per-shard loop that
-  // rebuilt an O(num_items) membership bitmap per shard.
-  const std::vector<double> estimates =
-      ScoreCandidates(ctx, candidates, /*impact_filter=*/nullptr, pool_.get(),
-                      &partition);
-
-  // Coordinator merge, then stage 2: unfiltered exact re-score of the pool.
-  const std::vector<ItemId> pool =
-      MergeTopCandidatesPerShard(candidates, estimates, partition, quota);
-  const std::vector<double> gains =
-      ScoreCandidates(ctx, pool, /*impact_filter=*/nullptr, pool_.get());
-  return TopKByScore(pool, gains, batch);
+  const ShardedScanResult result = RunShardedScan(
+      candidates, batch, partition,
+      [&](const std::vector<ItemId>& items, std::size_t /*quota*/) {
+        return ScoreCandidates(ctx, items, /*impact_filter=*/nullptr, &scan_,
+                               &partition);
+      },
+      [&](const std::vector<ItemId>& pool, std::size_t /*top_k*/) {
+        return ScoreCandidates(ctx, pool, /*impact_filter=*/nullptr, &scan_);
+      });
+  return TopKByScore(result.pool, result.gains, batch);
 }
 
 }  // namespace veritas

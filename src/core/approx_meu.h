@@ -25,12 +25,11 @@
 #ifndef VERITAS_CORE_APPROX_MEU_H_
 #define VERITAS_CORE_APPROX_MEU_H_
 
-#include <memory>
 #include <unordered_map>
 
+#include "core/candidate_scan.h"
 #include "core/strategy.h"
 #include "fusion/sharded_scan.h"
-#include "util/thread_pool.h"
 
 namespace veritas {
 
@@ -60,15 +59,15 @@ std::vector<double> EstimateUpdatedProbsLiteral(const Database& db,
 /// The Approx-MEU strategy.
 class ApproxMeuStrategy : public Strategy {
  public:
-  /// `num_threads` > 1 scores candidates concurrently on a persistent
-  /// work-stealing pool; the differential estimates are independent, so the
-  /// results are identical to the sequential run.
+  /// `num_threads` > 1 scores candidates concurrently on the CandidateScan
+  /// pool; the differential estimates are independent, so the results are
+  /// identical to the sequential run.
   explicit ApproxMeuStrategy(std::size_t num_threads = 1)
-      : num_threads_(num_threads == 0 ? 1 : num_threads) {}
+      : scan_(num_threads) {}
 
   std::string name() const override { return "approx_meu"; }
 
-  std::size_t num_threads() const { return num_threads_; }
+  std::size_t num_threads() const { return scan_.lanes(); }
 
   std::vector<ItemId> SelectBatch(const StrategyContext& ctx,
                                   std::size_t batch) override;
@@ -76,14 +75,15 @@ class ApproxMeuStrategy : public Strategy {
   /// Expected total entropy after validating `item`, under the differential
   /// estimate (the EU* of Table 9). When `impact_filter` is non-null, only
   /// neighbour items j with (*impact_filter)[j] participate in the impact
-  /// computation (used by Approx-MEU_k, §4.3).
+  /// computation (used by Approx-MEU_k, §4.3). Runs the same per-candidate
+  /// body as ScoreCandidates.
   static double ExpectedEntropyAfterValidation(
       const StrategyContext& ctx, ItemId item,
       const std::vector<bool>* impact_filter);
 
   /// Scores Delta-EU (Eq. 13 gain) for each candidate; shared with the
-  /// hybrid strategy. With a non-null `pool` (and enough candidates), the
-  /// scan fans out over its lanes; gains land in disjoint slots so the
+  /// hybrid strategy. With a non-null `scan` the candidates fan out over its
+  /// lanes (null scores them serially); gains land in disjoint slots so the
   /// result is lane-count independent. A non-null `confine` restricts each
   /// candidate's neighbour impact to the candidate's own shard of the
   /// partition — the sharded stage-1 semantics — which lets one pooled pass
@@ -91,21 +91,11 @@ class ApproxMeuStrategy : public Strategy {
   /// pure per-(i, j) predicate, so no cross-shard state is shared).
   static std::vector<double> ScoreCandidates(
       const StrategyContext& ctx, const std::vector<ItemId>& candidates,
-      const std::vector<bool>* impact_filter, ThreadPool* pool = nullptr,
+      const std::vector<bool>* impact_filter, CandidateScan* scan = nullptr,
       const ShardPartition* confine = nullptr);
 
  private:
-  /// The sharded two-stage selection behind FusionOptions::shards > 1
-  /// (fusion/sharded_scan.h): per-shard scans whose impact_filter confines
-  /// each candidate's neighbour impact to its own shard, a deterministic
-  /// top-quota merge, then an unfiltered re-score of the merged pool.
-  /// Requires ctx.delta (for the compiled view the partition is built on).
-  std::vector<ItemId> SelectBatchSharded(const StrategyContext& ctx,
-                                         const std::vector<ItemId>& candidates,
-                                         std::size_t batch, std::size_t shards);
-
-  std::size_t num_threads_ = 1;
-  std::unique_ptr<ThreadPool> pool_;  // Lazy; persists across rounds.
+  CandidateScan scan_;
   ShardedScanPlan shard_plan_;  // Cached partition (epoch/shard-count keyed).
 };
 

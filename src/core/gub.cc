@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <limits>
-#include <unordered_map>
 
 #include "core/metrics.h"
 #include "obs/metrics.h"
@@ -60,50 +59,12 @@ std::vector<ItemId> GubStrategy::SelectBatch(const StrategyContext& ctx,
   candidates_hist->Observe(static_cast<double>(candidates.size()));
   const double current_utility =
       GroundTruthUtility(*ctx.db, *ctx.fusion, *ctx.ground_truth);
-
-  std::vector<double> gains(candidates.size(), 0.0);
-  // Independent lookaheads written to disjoint slots: results are identical
-  // for every lane count (see MeuStrategy for the pool pattern).
-  const ThreadPool::Body body = [&](std::size_t lane, std::size_t begin,
-                                    std::size_t end) {
-    (void)lane;
-    for (std::size_t idx = begin; idx < end; ++idx) {
-      // Hard stop: abandon the scan (the session discards the round).
-      if (HardStopRequested(ctx.cancel)) return;
-      gains[idx] = CandidateGain(ctx, candidates[idx], current_utility);
-    }
-  };
-  constexpr std::size_t kSerialCutoff = 32;
-  if (num_threads_ <= 1 || candidates.size() < kSerialCutoff) {
-    body(/*lane=*/0, 0, candidates.size());
-  } else {
-    if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(num_threads_);
-    pool_->ParallelFor(candidates.size(), /*chunk_size=*/4, body);
-  }
-
-  // Sharded coordinator merge (fusion/sharded_scan.h): per-shard top-batch
-  // by exact gain, merged, then the final rank over the pool. GUB gains are
-  // item-independent, so this selects exactly the flat scan's batch — the
-  // path exists so the merge protocol is exercised (and tested) on the one
-  // strategy where identity is a theorem rather than an empirical check.
-  const std::size_t shards =
-      ctx.fusion_opts != nullptr ? ctx.fusion_opts->shards : 1;
-  if (shards > 1 && ctx.delta != nullptr && candidates.size() > batch) {
-    shard_plan_.Prepare(ctx.delta->compiled(), shards);
-    const std::vector<ItemId> pool = MergeTopCandidatesPerShard(
-        candidates, gains, shard_plan_.partition(), batch);
-    std::vector<double> pool_gains(pool.size(), 0.0);
-    std::unordered_map<ItemId, double> gain_of;
-    gain_of.reserve(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      gain_of.emplace(candidates[i], gains[i]);
-    }
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      pool_gains[i] = gain_of.at(pool[i]);
-    }
-    return TopKByScore(pool, pool_gains, batch);
-  }
-  return TopKByScore(candidates, gains, batch);
+  return scan_.Select(
+      candidates, batch,
+      [&](std::size_t /*lane*/, std::size_t idx) {
+        return CandidateGain(ctx, candidates[idx], current_utility);
+      },
+      ctx.cancel);
 }
 
 }  // namespace veritas

@@ -12,11 +12,8 @@
 #ifndef VERITAS_CORE_GUB_H_
 #define VERITAS_CORE_GUB_H_
 
-#include <memory>
-
+#include "core/candidate_scan.h"
 #include "core/strategy.h"
-#include "fusion/sharded_scan.h"
-#include "util/thread_pool.h"
 
 namespace veritas {
 
@@ -29,13 +26,13 @@ enum class GubMode {
 /// Ground-truth-utility VPI strategy (the paper's upper bound).
 class GubStrategy : public Strategy {
  public:
-  /// `num_threads` > 1 scores candidates concurrently on a persistent
-  /// work-stealing pool (each candidate's lookahead re-fusion is
-  /// independent); results are identical to the sequential run. Small rounds
-  /// (< 32 candidates) run inline. Same thread-safety caveat as MeuStrategy.
+  /// `num_threads` > 1 scores candidates concurrently on the CandidateScan
+  /// pool (each candidate's lookahead re-fusion is independent); results are
+  /// identical to the sequential run. Same thread-safety caveat as
+  /// MeuStrategy.
   explicit GubStrategy(GubMode mode = GubMode::kOracle,
                        std::size_t num_threads = 1)
-      : mode_(mode), num_threads_(num_threads == 0 ? 1 : num_threads) {}
+      : mode_(mode), scan_(num_threads) {}
 
   std::string name() const override { return "gub"; }
 
@@ -43,7 +40,7 @@ class GubStrategy : public Strategy {
                                   std::size_t batch) override;
 
   GubMode mode() const { return mode_; }
-  std::size_t num_threads() const { return num_threads_; }
+  std::size_t num_threads() const { return scan_.lanes(); }
 
  private:
   /// Utility gain of hypothetically validating one candidate.
@@ -51,13 +48,7 @@ class GubStrategy : public Strategy {
                        double current_utility) const;
 
   GubMode mode_;
-  std::size_t num_threads_;
-  std::unique_ptr<ThreadPool> pool_;  // Lazy; persists across rounds.
-  /// Cached partition for FusionOptions::shards > 1. GUB's gains are exact
-  /// and item-independent, so the per-shard top-batch merge provably selects
-  /// the same items as the flat scan (every global top-batch item is in its
-  /// own shard's top-batch).
-  ShardedScanPlan shard_plan_;
+  CandidateScan scan_;
 };
 
 }  // namespace veritas

@@ -14,8 +14,7 @@ namespace veritas {
 
 ApproxMeuKStrategy::ApproxMeuKStrategy(double k_percent,
                                        std::size_t num_threads)
-    : k_percent_(k_percent),
-      num_threads_(num_threads == 0 ? 1 : num_threads) {
+    : k_percent_(k_percent), scan_(num_threads) {
   assert(k_percent > 0.0 && k_percent <= 100.0);
 }
 
@@ -79,11 +78,8 @@ std::vector<ItemId> ApproxMeuKStrategy::SelectBatch(const StrategyContext& ctx,
   // compute only the impact of these ... data items on each other").
   std::vector<bool> impact_filter(ctx.db->num_items(), false);
   for (ItemId i : candidates) impact_filter[i] = true;
-  if (num_threads_ > 1 && pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(num_threads_);
-  }
   const std::vector<double> gains = ApproxMeuStrategy::ScoreCandidates(
-      ctx, candidates, &impact_filter, pool_.get());
+      ctx, candidates, &impact_filter, &scan_);
   return TopKByScore(candidates, gains, batch);
 }
 

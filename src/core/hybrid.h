@@ -7,10 +7,8 @@
 #ifndef VERITAS_CORE_HYBRID_H_
 #define VERITAS_CORE_HYBRID_H_
 
-#include <memory>
-
+#include "core/candidate_scan.h"
 #include "core/strategy.h"
-#include "util/thread_pool.h"
 
 namespace veritas {
 
@@ -19,8 +17,8 @@ class ApproxMeuKStrategy : public Strategy {
  public:
   /// `k_percent` in (0, 100]: fraction of the unvalidated conflicting items
   /// kept as candidates (at least one is always kept). `num_threads` > 1
-  /// fans the impact scoring over a persistent pool (lane-count-independent
-  /// results, as for ApproxMeuStrategy).
+  /// fans the impact scoring over the CandidateScan pool (lane-count-
+  /// independent results, as for ApproxMeuStrategy).
   explicit ApproxMeuKStrategy(double k_percent, std::size_t num_threads = 1);
 
   std::string name() const override;
@@ -37,8 +35,7 @@ class ApproxMeuKStrategy : public Strategy {
 
  private:
   double k_percent_;
-  std::size_t num_threads_;
-  std::unique_ptr<ThreadPool> pool_;  // Lazy; persists across rounds.
+  CandidateScan scan_;
 };
 
 }  // namespace veritas

@@ -155,15 +155,12 @@ std::vector<double> MeuStrategy::ScanCandidateGains(
     const DeltaFusionEngine::BaseState* shared_base) {
   static Counter* pruned_counter =
       MetricsRegistry::Global().GetCounter("meu.candidates_pruned");
-  static Counter* steals_counter =
-      MetricsRegistry::Global().GetCounter("meu.pool_steals");
   // Largest observed gain / H_item ratio: the empirical check on the
-  // prune_margin_rel bound (must stay below 1 + margin; see DESIGN.md §5f).
+  // kPruneMarginRel bound (must stay below 1 + margin; see DESIGN.md §5f).
   static Gauge* bound_ratio_gauge =
       MetricsRegistry::Global().GetGauge("meu.max_gain_bound_ratio");
 
-  std::vector<double> gains(candidates.size(), 0.0);
-  if (candidates.empty()) return gains;
+  if (candidates.empty()) return {};
   const double current_entropy = ctx.fusion->TotalEntropy();
   const bool use_delta = ctx.delta != nullptr && ctx.warm_start_lookahead;
 
@@ -186,7 +183,7 @@ std::vector<double> MeuStrategy::ScanCandidateGains(
                                    : nullptr;
 
   const std::vector<std::size_t> order = ScanOrder(ctx, candidates);
-  const bool prune = allow_prune && scan_.prune && use_delta && top_k > 0 &&
+  const bool prune = allow_prune && options_.prune && use_delta && top_k > 0 &&
                      top_k < candidates.size();
   // One threshold per shard in confined mode (each shard selects its own
   // top-quota); a single global threshold otherwise. GainThreshold is
@@ -200,121 +197,98 @@ std::vector<double> MeuStrategy::ScanCandidateGains(
   }
   std::atomic<std::uint64_t> pruned{0};
   std::atomic<double> max_ratio{0.0};
-  if (lane_ws_.size() < num_threads_) lane_ws_.resize(num_threads_);
+  if (lanes_.size() < scan_.lanes()) lanes_.resize(scan_.lanes());
 
-  const ThreadPool::Body body = [&](std::size_t lane, std::size_t begin,
-                                    std::size_t end) {
-    DeltaFusionEngine::Workspace& ws = lane_ws_[lane];
-    std::vector<std::pair<double, ClaimIndex>> claims;  // (pk, k), reused.
-    for (std::size_t pos = begin; pos < end; ++pos) {
-      // Hard stop: abandon the scan. The truncated gains are never recorded
-      // — the session discards the round — so the zero-filled tail is fine.
-      if (HardStopRequested(ctx.cancel)) return;
-      const std::size_t idx = order[pos];
-      const ItemId item = candidates[idx];
-      if (!use_delta) {
-        // Cold / non-delta path: exact full-Fuse lookahead, never pruned
-        // (the worked-example contract).
-        gains[idx] =
-            current_entropy - ExpectedEntropyAfterValidation(ctx, item);
-        continue;
-      }
-      ItemScope scope;
-      const ItemScope* scope_ptr = nullptr;
-      if (shard_map != nullptr) {
-        scope = plan->ScopeFor(item);
-        scope_ptr = &scope;
-      }
-      GainThreshold& threshold =
-          shard_map != nullptr ? *thresholds[shard_map[item]] : *thresholds[0];
-
-      // Per-claim gain bound: pinning o_i removes its own entropy H_i
-      // exactly; the cross-item ripple is bounded by margin * H_i (exactly
-      // zero for Voting, where a pin moves nothing else). DESIGN.md §5f.
-      // Confinement only shrinks the ripple, so the same bound is admissible
-      // for the shard-confined estimates.
-      const double h_item = base->item_entropy[item];
-      const double margin =
-          ctx.delta->cross_item_influence() ? scan_.prune_margin_rel : 0.0;
-      const double claim_bound = (1.0 + margin) * h_item;
-      if (prune && claim_bound < threshold.Get()) {
-        // A-priori prune: gain <= claim_bound < threshold.
-        gains[idx] = claim_bound;
-        pruned.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-
-      // Claims best-first (descending pk, ties by claim index) so the
-      // partial bound tightens as fast as possible. The order is a pure
-      // function of the fusion state — identical for every schedule.
-      claims.clear();
-      const Database& db = *ctx.db;
-      double total_mass = 0.0;
-      for (ClaimIndex k = 0; k < db.num_claims(item); ++k) {
-        const double pk = ctx.fusion->prob(item, k);
-        if (pk <= 0.0) continue;
-        claims.emplace_back(pk, k);
-        total_mass += pk;
-      }
-      std::sort(claims.begin(), claims.end(),
-                [](const std::pair<double, ClaimIndex>& a,
-                   const std::pair<double, ClaimIndex>& b) {
-                  if (a.first != b.first) return a.first > b.first;
-                  return a.second < b.second;
-                });
-      double expected = 0.0;
-      double mass = 0.0;
-      bool was_pruned = false;
-      for (const auto& [pk, k] : claims) {
-        if (pk < kNegligiblePinMass) {
-          expected += pk * (base->total_entropy - base->item_entropy[item]);
-        } else {
-          expected += pk * ctx.delta->EntropyAfterExactPin(*base, ws,
-                                                           *ctx.priors, item,
-                                                           k, nullptr,
-                                                           scope_ptr);
-        }
-        mass += pk;
-        if (!prune) continue;
-        // Each unevaluated claim keeps at least (current - claim_bound)
-        // entropy, so the remaining mass can add at most
-        // remaining * claim_bound of gain. The clamp keeps the bound
-        // conservative against rounding in the mass accumulation.
-        const double remaining = std::max(0.0, total_mass - mass);
-        const double ub = (current_entropy - expected) -
-                          remaining * (current_entropy - claim_bound);
-        if (ub < threshold.Get()) {
-          gains[idx] = ub;
-          pruned.fetch_add(1, std::memory_order_relaxed);
-          was_pruned = true;
-          break;
-        }
-      }
-      if (was_pruned) continue;
-      // Delta EU_i of Eq. (7): current entropy minus expected entropy.
-      const double gain = current_entropy - expected;
-      gains[idx] = gain;
-      if (prune) threshold.Offer(gain);
-      // Gauge the margin only on items with entropy above the propagation's
-      // numerical noise floor (~1e-9 nats): below it the quotient measures
-      // rounding, not cross-item influence, and a pruned near-zero-entropy
-      // item is below any plausible threshold regardless.
-      if (h_item > 1e-6) AtomicMaxDouble(max_ratio, gain / h_item);
+  const CandidateScan::Scorer score = [&](std::size_t lane,
+                                          std::size_t idx) -> double {
+    const ItemId item = candidates[idx];
+    if (!use_delta) {
+      // Cold / non-delta path: exact full-Fuse lookahead, never pruned
+      // (the worked-example contract).
+      return current_entropy - ExpectedEntropyAfterValidation(ctx, item);
     }
-  };
+    ItemScope scope;
+    const ItemScope* scope_ptr = nullptr;
+    if (shard_map != nullptr) {
+      scope = plan->ScopeFor(item);
+      scope_ptr = &scope;
+    }
+    GainThreshold& threshold =
+        shard_map != nullptr ? *thresholds[shard_map[item]] : *thresholds[0];
 
-  const std::size_t n = candidates.size();
-  std::uint64_t stolen = 0;
-  if (num_threads_ <= 1 || n < scan_.serial_cutoff) {
-    // Serial cutoff: tiny rounds run inline; pool dispatch costs more than
-    // it buys (and the pool is not even constructed until first needed).
-    body(/*lane=*/0, 0, n);
-  } else {
-    if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(num_threads_);
-    stolen = pool_->ParallelFor(n, scan_.chunk_size, body);
-  }
+    // Per-claim gain bound: pinning o_i removes its own entropy H_i
+    // exactly; the cross-item ripple is bounded by margin * H_i (exactly
+    // zero for Voting, where a pin moves nothing else). DESIGN.md §5f.
+    // Confinement only shrinks the ripple, so the same bound is admissible
+    // for the shard-confined estimates.
+    const double h_item = base->item_entropy[item];
+    const double margin =
+        ctx.delta->cross_item_influence() ? kPruneMarginRel : 0.0;
+    const double claim_bound = (1.0 + margin) * h_item;
+    if (prune && claim_bound < threshold.Get()) {
+      // A-priori prune: gain <= claim_bound < threshold.
+      pruned.fetch_add(1, std::memory_order_relaxed);
+      return claim_bound;
+    }
+
+    // Claims best-first (descending pk, ties by claim index) so the
+    // partial bound tightens as fast as possible. The order is a pure
+    // function of the fusion state — identical for every schedule.
+    LaneScratch& scratch = lanes_[lane];
+    std::vector<std::pair<double, ClaimIndex>>& claims = scratch.claims;
+    claims.clear();
+    const Database& db = *ctx.db;
+    double total_mass = 0.0;
+    for (ClaimIndex k = 0; k < db.num_claims(item); ++k) {
+      const double pk = ctx.fusion->prob(item, k);
+      if (pk <= 0.0) continue;
+      claims.emplace_back(pk, k);
+      total_mass += pk;
+    }
+    std::sort(claims.begin(), claims.end(),
+              [](const std::pair<double, ClaimIndex>& a,
+                 const std::pair<double, ClaimIndex>& b) {
+                if (a.first != b.first) return a.first > b.first;
+                return a.second < b.second;
+              });
+    double expected = 0.0;
+    double mass = 0.0;
+    for (const auto& [pk, k] : claims) {
+      if (pk < kNegligiblePinMass) {
+        expected += pk * (base->total_entropy - base->item_entropy[item]);
+      } else {
+        expected += pk * ctx.delta->EntropyAfterExactPin(
+                             *base, scratch.ws, *ctx.priors, item, k, nullptr,
+                             scope_ptr);
+      }
+      mass += pk;
+      if (!prune) continue;
+      // Each unevaluated claim keeps at least (current - claim_bound)
+      // entropy, so the remaining mass can add at most
+      // remaining * claim_bound of gain. The clamp keeps the bound
+      // conservative against rounding in the mass accumulation.
+      const double remaining = std::max(0.0, total_mass - mass);
+      const double ub = (current_entropy - expected) -
+                        remaining * (current_entropy - claim_bound);
+      if (ub < threshold.Get()) {
+        pruned.fetch_add(1, std::memory_order_relaxed);
+        return ub;
+      }
+    }
+    // Delta EU_i of Eq. (7): current entropy minus expected entropy.
+    const double gain = current_entropy - expected;
+    if (prune) threshold.Offer(gain);
+    // Gauge the margin only on items with entropy above the propagation's
+    // numerical noise floor (~1e-9 nats): below it the quotient measures
+    // rounding, not cross-item influence, and a pruned near-zero-entropy
+    // item is below any plausible threshold regardless.
+    if (h_item > 1e-6) AtomicMaxDouble(max_ratio, gain / h_item);
+    return gain;
+  };
+  const std::vector<double> gains =
+      scan_.Gains(candidates, score, ctx.cancel, &order);
+
   pruned_counter->Add(pruned.load(std::memory_order_relaxed));
-  if (stolen > 0) steals_counter->Add(stolen);
   const double ratio = max_ratio.load(std::memory_order_relaxed);
   if (ratio > bound_ratio_gauge->value()) bound_ratio_gauge->Set(ratio);
 
@@ -322,7 +296,7 @@ std::vector<double> MeuStrategy::ScanCandidateGains(
   // winners are evaluated first and the threshold tightens immediately.
   // Confined estimates never seed: the ranking belongs to the exact scan.
   if (shard_map == nullptr) {
-    seed_ranking_ = TopKByScore(candidates, gains, scan_.seed_limit);
+    seed_ranking_ = TopKByScore(candidates, gains, kSeedLimit);
   }
   return gains;
 }
@@ -344,17 +318,13 @@ std::vector<ItemId> MeuStrategy::SelectBatch(const StrategyContext& ctx,
   candidates_hist->Observe(static_cast<double>(candidates.size()));
   const std::size_t shards = ctx.fusion_opts->shards;
   const bool use_delta = ctx.delta != nullptr && ctx.warm_start_lookahead;
-  if (shards > 1 && use_delta && candidates.size() > batch) {
-    return SelectBatchSharded(ctx, candidates, batch, shards);
+  if (shards <= 1 || !use_delta || candidates.size() <= batch) {
+    const std::vector<double> gains =
+        ScoreCandidateGains(ctx, candidates, batch, /*allow_prune=*/true);
+    return TopKByScore(candidates, gains, batch);
   }
-  const std::vector<double> gains =
-      ScoreCandidateGains(ctx, candidates, batch, /*allow_prune=*/true);
-  return TopKByScore(candidates, gains, batch);
-}
 
-std::vector<ItemId> MeuStrategy::SelectBatchSharded(
-    const StrategyContext& ctx, const std::vector<ItemId>& candidates,
-    std::size_t batch, std::size_t shards) {
+  // The sharded two-stage selection (fusion/sharded_scan.h).
   VERITAS_SPAN("strategy.meu.select_sharded");
   static Counter* shard_scans =
       MetricsRegistry::Global().GetCounter("meu.shard_scans");
@@ -362,29 +332,25 @@ std::vector<ItemId> MeuStrategy::SelectBatchSharded(
       "meu.shard_pool_candidates", MetricsRegistry::CountEdges());
   shard_plan_.Prepare(ctx.delta->compiled(), shards);
   shard_scans->Add(1);
-
   // One O(database) flatten serves both stages: stage 2's pins run against
   // the same base (each lookahead restores what it touched), so neither the
-  // flatten nor the per-lane workspace sync is paid twice.
+  // flatten nor the per-lane workspace sync is paid twice. Stage 1 runs
+  // shard-confined with per-shard branch-and-bound; stage 2 is the classic
+  // exact scan on the merged pool, which also refreshes the seed ranking.
   const DeltaFusionEngine::BaseState base =
       ctx.delta->PrepareBase(*ctx.fusion);
-
-  // Stage 1: shard-confined estimates with per-shard branch-and-bound,
-  // keeping each shard's top `quota` candidates competitive.
-  const std::size_t quota = ShardedScanPlan::MergeQuota(batch);
-  const std::vector<double> estimates = ScanCandidateGains(
-      ctx, candidates, quota, /*allow_prune=*/true, &shard_plan_, &base);
-
-  // Coordinator: deterministic per-shard top-quota merge.
-  const std::vector<ItemId> pool = MergeTopCandidatesPerShard(
-      candidates, estimates, shard_plan_.partition(), quota);
-  pool_hist->Observe(static_cast<double>(pool.size()));
-
-  // Stage 2: exact unconfined re-rank of the pool — the classic scan, just
-  // on O(shards * quota) items. This also refreshes the seed ranking.
-  const std::vector<double> gains = ScanCandidateGains(
-      ctx, pool, batch, /*allow_prune=*/true, /*plan=*/nullptr, &base);
-  return TopKByScore(pool, gains, batch);
+  const ShardedScanResult result = RunShardedScan(
+      candidates, batch, shard_plan_.partition(),
+      [&](const std::vector<ItemId>& items, std::size_t quota) {
+        return ScanCandidateGains(ctx, items, quota, /*allow_prune=*/true,
+                                  &shard_plan_, &base);
+      },
+      [&](const std::vector<ItemId>& pool, std::size_t top_k) {
+        return ScanCandidateGains(ctx, pool, top_k, /*allow_prune=*/true,
+                                  /*plan=*/nullptr, &base);
+      });
+  pool_hist->Observe(static_cast<double>(result.pool.size()));
+  return TopKByScore(result.pool, result.gains, batch);
 }
 
 }  // namespace veritas

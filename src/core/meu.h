@@ -8,8 +8,9 @@
 //
 // Cost: O(m * kappa) re-fusions per action — exact but expensive. The scan
 // engine here attacks that from three sides (DESIGN.md §5f):
-//   * a persistent work-stealing ThreadPool with per-lane delta-fusion
-//     workspaces, reused across SelectNext rounds (no thread spawns);
+//   * the shared CandidateScan kernel (core/candidate_scan.h): a persistent
+//     pool with per-lane delta-fusion workspaces, reused across SelectNext
+//     rounds (no thread spawns);
 //   * branch-and-bound pruning: candidates are visited best-first (seeded by
 //     last round's ranking), a shared monotone threshold tracks the batch-th
 //     best exact gain, and a candidate is abandoned — a priori or mid-claim —
@@ -22,12 +23,13 @@
 #ifndef VERITAS_CORE_MEU_H_
 #define VERITAS_CORE_MEU_H_
 
-#include <memory>
+#include <utility>
+#include <vector>
 
+#include "core/candidate_scan.h"
 #include "core/strategy.h"
 #include "fusion/delta_fusion.h"
 #include "fusion/sharded_scan.h"
-#include "util/thread_pool.h"
 
 namespace veritas {
 
@@ -36,38 +38,33 @@ struct MeuScanOptions {
   /// Branch-and-bound pruning of provably non-winning candidates. Only
   /// active on the delta-fusion path with more candidates than the batch.
   bool prune = true;
-  /// Relative margin of the per-claim gain bound for models with cross-item
-  /// influence: a pin on o_i is assumed to reduce total entropy by at most
-  /// (1 + margin) * H(o_i). Voting uses the exact bound H(o_i); for Accu and
-  /// TruthFinder the ripple through source accuracies is a heuristic bound,
-  /// not a theorem — dense synthetic data has been observed at 1.9x H(o_i),
-  /// so the default leaves ~60% headroom. Validated empirically by the
-  /// equivalence suite and the exported meu.max_gain_bound_ratio gauge
-  /// (see DESIGN.md §5f).
-  double prune_margin_rel = 2.0;
-  /// Candidate sets smaller than this run inline on the caller thread —
-  /// pool dispatch costs more than it buys on tiny rounds.
-  std::size_t serial_cutoff = 32;
-  /// How many of last round's best candidates seed the front of the scan.
-  std::size_t seed_limit = 64;
-  /// Indices per work-stealing chunk.
-  std::size_t chunk_size = 8;
 };
 
 /// Exact one-step-lookahead VPI strategy with the entropy utility.
 class MeuStrategy : public Strategy {
  public:
-  /// `num_threads` > 1 scores candidates concurrently on a persistent
-  /// work-stealing pool (the lookahead re-fusions are independent). Selected
-  /// items are identical for every thread count. All built-in fusion models
-  /// are thread-safe.
-  explicit MeuStrategy(std::size_t num_threads = 1, MeuScanOptions scan = {})
-      : num_threads_(num_threads == 0 ? 1 : num_threads), scan_(scan) {}
+  /// Relative margin of the per-claim gain bound for models with cross-item
+  /// influence: a pin on o_i is assumed to reduce total entropy by at most
+  /// (1 + margin) * H(o_i). Voting uses the exact bound H(o_i); for Accu and
+  /// TruthFinder the ripple through source accuracies is a heuristic bound,
+  /// not a theorem — dense synthetic data has been observed at 1.9x H(o_i),
+  /// so the margin leaves ~60% headroom. Validated empirically by the
+  /// equivalence suite and the exported meu.max_gain_bound_ratio gauge
+  /// (see DESIGN.md §5f).
+  static constexpr double kPruneMarginRel = 2.0;
+  /// How many of last round's best candidates seed the front of the scan.
+  static constexpr std::size_t kSeedLimit = 64;
+
+  /// `num_threads` > 1 scores candidates concurrently on the CandidateScan
+  /// pool (the lookahead re-fusions are independent). Selected items are
+  /// identical for every thread count. All built-in fusion models are
+  /// thread-safe.
+  explicit MeuStrategy(std::size_t num_threads = 1, MeuScanOptions options = {})
+      : scan_(num_threads), options_(options) {}
 
   std::string name() const override { return "meu"; }
 
-  std::size_t num_threads() const { return num_threads_; }
-  const MeuScanOptions& scan_options() const { return scan_; }
+  std::size_t num_threads() const { return scan_.lanes(); }
 
   /// Clears the cross-round seed ranking (the pool survives).
   void Reset() override { seed_ranking_.clear(); }
@@ -119,19 +116,16 @@ class MeuStrategy : public Strategy {
       std::size_t top_k, bool allow_prune, const ShardedScanPlan* plan,
       const DeltaFusionEngine::BaseState* shared_base = nullptr);
 
-  /// The sharded two-stage selection (fusion/sharded_scan.h): confined
-  /// per-shard estimate scan, deterministic top-quota merge, exact
-  /// unconfined re-rank of the merged pool. Requires the delta path.
-  std::vector<ItemId> SelectBatchSharded(const StrategyContext& ctx,
-                                         const std::vector<ItemId>& candidates,
-                                         std::size_t batch, std::size_t shards);
+  /// Per-lane scratch, persistent so a round only pays one lazy base sync
+  /// per lane instead of re-allocating O(database) delta workspaces.
+  struct LaneScratch {
+    DeltaFusionEngine::Workspace ws;
+    std::vector<std::pair<double, ClaimIndex>> claims;  // (pk, k), reused.
+  };
 
-  std::size_t num_threads_;
-  MeuScanOptions scan_;
-  std::unique_ptr<ThreadPool> pool_;  // Lazy; persists across rounds.
-  /// Per-lane delta workspaces, persistent so a round only pays one lazy
-  /// base sync per lane instead of re-allocating O(database) scratch.
-  std::vector<DeltaFusionEngine::Workspace> lane_ws_;
+  CandidateScan scan_;
+  MeuScanOptions options_;
+  std::vector<LaneScratch> lanes_;
   std::vector<ItemId> seed_ranking_;  // Last round's best, best first.
   /// Cached shard partition for FusionOptions::shards > 1 (rebuilt on epoch
   /// or shard-count change).

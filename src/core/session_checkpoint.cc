@@ -145,8 +145,9 @@ Status VerifyTrailer(const std::string& contents, std::string* payload) {
 
 // Reads the "veritas-checkpoint <version>" header without consuming the
 // stream, distinguishing a garbage/truncated version field from a version
-// this build does not understand.
-Result<int> PeekVersion(const std::string& contents) {
+// this build does not understand. Only the current version loads: older
+// layouts (v1 had no checksum trailer) are rejected, not trusted unchecked.
+Status PeekVersion(const std::string& contents) {
   std::istringstream in(contents);
   std::string tag;
   if (!(in >> tag) || tag != "veritas-checkpoint") {
@@ -164,11 +165,11 @@ Result<int> PeekVersion(const std::string& contents) {
     return Status::InvalidArgument(
         "checkpoint: unreadable format version '" + token + "'");
   }
-  if (version < 1 || version > SessionCheckpoint::kFormatVersion) {
+  if (version != SessionCheckpoint::kFormatVersion) {
     return Status::InvalidArgument("checkpoint: unsupported format version " +
                                    std::to_string(version));
   }
-  return static_cast<int>(version);
+  return Status::OK();
 }
 
 }  // namespace
@@ -254,13 +255,9 @@ Result<SessionCheckpoint> LoadCheckpointGeneration(const std::string& path,
   raw << file.rdbuf();
   const std::string contents = raw.str();
 
-  VERITAS_ASSIGN_OR_RETURN(const int version, PeekVersion(contents));
+  VERITAS_RETURN_IF_ERROR(PeekVersion(contents));
   std::string payload;
-  if (version >= 2) {
-    VERITAS_RETURN_IF_ERROR(VerifyTrailer(contents, &payload));
-  } else {
-    payload = contents;  // v1 predates the checksum trailer.
-  }
+  VERITAS_RETURN_IF_ERROR(VerifyTrailer(contents, &payload));
   std::istringstream in(payload);
   VERITAS_RETURN_IF_ERROR(ExpectTag(in, "veritas-checkpoint"));
   {

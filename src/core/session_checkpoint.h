@@ -31,8 +31,8 @@ namespace veritas {
 
 /// Resumable snapshot of a FeedbackSession mid-run.
 struct SessionCheckpoint {
-  /// Bumped whenever the on-disk layout changes; loaders reject versions
-  /// they do not understand. v1 files (no checksum trailer) still load.
+  /// Bumped whenever the on-disk layout changes; loaders reject every other
+  /// version, including v1 (no checksum trailer).
   static constexpr int kFormatVersion = 2;
 
   /// Previous on-disk generations kept as a recovery chain (`path.1`,

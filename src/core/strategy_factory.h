@@ -15,8 +15,8 @@ namespace veritas {
 /// "approx_meu", "approx_meu_k:<percent>", "gub", "gub_expectation".
 /// Unknown names yield NotFound. `num_threads` > 1 parallelizes the
 /// candidate scan of the lookahead strategies ("meu", "meu2", "approx_meu",
-/// "approx_meu_k:*", "gub", "gub_expectation") over a persistent
-/// work-stealing pool; the cheap ranking strategies ignore it. Selected
+/// "approx_meu_k:*", "gub", "gub_expectation") over the persistent pool of
+/// their CandidateScan; the cheap ranking strategies ignore it. Selected
 /// items are identical for every thread count. All built-in fusion models
 /// are thread-safe.
 Result<std::unique_ptr<Strategy>> MakeStrategy(const std::string& name,

@@ -16,6 +16,19 @@ void ShardedScanPlan::Prepare(const CompiledDatabase& compiled,
   shards_ = shards;
 }
 
+ShardedScanResult RunShardedScan(const std::vector<ItemId>& candidates,
+                                 std::size_t batch,
+                                 const ShardPartition& partition,
+                                 const StageScorer& confined,
+                                 const StageScorer& exact) {
+  const std::size_t quota = ShardedScanPlan::MergeQuota(batch);
+  ShardedScanResult result;
+  result.pool = MergeTopCandidatesPerShard(
+      candidates, confined(candidates, quota), partition, quota);
+  result.gains = exact(result.pool, batch);
+  return result;
+}
+
 std::vector<ItemId> MergeTopCandidatesPerShard(
     const std::vector<ItemId>& candidates, const std::vector<double>& estimates,
     const ShardPartition& partition, std::size_t quota) {

@@ -24,6 +24,7 @@
 #define VERITAS_FUSION_SHARDED_SCAN_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -41,10 +42,8 @@ class ShardedScanPlan {
   /// Ensures the cached partition matches (compiled.epoch(), shards).
   void Prepare(const CompiledDatabase& compiled, std::size_t shards);
 
-  bool ready() const { return partition_ != nullptr; }
   const ShardPartition& partition() const { return *partition_; }
   std::size_t num_shards() const { return partition_->num_shards(); }
-  std::uint32_t shard_of(ItemId i) const { return partition_->shard_of(i); }
 
   /// Propagation scope of `item`'s shard. Valid while the plan's partition
   /// is alive (it borrows the shard map and conflict list).
@@ -72,6 +71,30 @@ class ShardedScanPlan {
   std::unique_ptr<ShardPartition> partition_;
   std::size_t shards_ = 0;
 };
+
+/// One stage of the two-stage scan: gains (or estimates) parallel to
+/// `candidates`, keeping the top `top_k` competitive — per shard in the
+/// confined stage, overall in the exact stage. Entries that provably cannot
+/// reach that top may hold an upper bound instead of the exact value.
+using StageScorer = std::function<std::vector<double>(
+    const std::vector<ItemId>& candidates, std::size_t top_k)>;
+
+/// The merged pool of a sharded scan and its exact stage-2 gains (parallel).
+struct ShardedScanResult {
+  std::vector<ItemId> pool;
+  std::vector<double> gains;
+};
+
+/// The whole two-stage protocol for one round: `confined` scores every
+/// candidate with shard-confined lookaheads and MergeQuota(batch) as the
+/// per-shard quota, MergeTopCandidatesPerShard keeps each shard's top quota,
+/// and `exact` re-scores that pool unconfined with `batch` as its top. The
+/// caller ranks the pool by the returned gains.
+ShardedScanResult RunShardedScan(const std::vector<ItemId>& candidates,
+                                 std::size_t batch,
+                                 const ShardPartition& partition,
+                                 const StageScorer& confined,
+                                 const StageScorer& exact);
 
 /// Coordinator merge: for each shard, the top-`quota` of its candidates by
 /// estimate (ties: lower item id), concatenated over shards and returned in

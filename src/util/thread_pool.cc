@@ -1,53 +1,8 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
+
 namespace veritas {
-
-namespace {
-
-constexpr std::uint64_t PackRange(std::uint32_t head, std::uint32_t tail) {
-  return (static_cast<std::uint64_t>(head) << 32) | tail;
-}
-constexpr std::uint32_t RangeHead(std::uint64_t r) {
-  return static_cast<std::uint32_t>(r >> 32);
-}
-constexpr std::uint32_t RangeTail(std::uint64_t r) {
-  return static_cast<std::uint32_t>(r);
-}
-
-// Owner path: claim the front local index, or fail when the range is empty.
-bool PopFront(std::atomic<std::uint64_t>& range, std::uint32_t* local) {
-  std::uint64_t cur = range.load(std::memory_order_relaxed);
-  while (true) {
-    const std::uint32_t head = RangeHead(cur);
-    const std::uint32_t tail = RangeTail(cur);
-    if (head >= tail) return false;
-    if (range.compare_exchange_weak(cur, PackRange(head + 1, tail),
-                                    std::memory_order_acq_rel,
-                                    std::memory_order_relaxed)) {
-      *local = head;
-      return true;
-    }
-  }
-}
-
-// Thief path: claim the back local index (the victim's least-promising
-// chunk under the front-loaded scan order).
-bool PopBack(std::atomic<std::uint64_t>& range, std::uint32_t* local) {
-  std::uint64_t cur = range.load(std::memory_order_relaxed);
-  while (true) {
-    const std::uint32_t head = RangeHead(cur);
-    const std::uint32_t tail = RangeTail(cur);
-    if (head >= tail) return false;
-    if (range.compare_exchange_weak(cur, PackRange(head, tail - 1),
-                                    std::memory_order_acq_rel,
-                                    std::memory_order_relaxed)) {
-      *local = tail - 1;
-      return true;
-    }
-  }
-}
-
-}  // namespace
 
 ThreadPool::ThreadPool(std::size_t lanes) : lanes_(lanes == 0 ? 1 : lanes) {
   workers_.reserve(lanes_ - 1);
@@ -65,43 +20,20 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-void ThreadPool::ExecuteChunk(Job& job, std::size_t lane,
-                              std::size_t ordinal) const {
-  const std::size_t begin = ordinal * job.chunk_size;
-  const std::size_t end = std::min(job.n, begin + job.chunk_size);
-  (*job.body)(lane, begin, end);
-  // The last chunk to finish wakes the caller. Taking done_mu before the
-  // notify pairs with the caller's predicate re-check, so the wakeup cannot
-  // slip between its check and its wait.
-  if (job.chunks_done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-      job.num_chunks) {
-    { std::lock_guard<std::mutex> lock(job.done_mu); }
-    job.done_cv.notify_all();
-  }
-}
-
 void ThreadPool::RunLane(Job& job, std::size_t lane) const {
-  // Own chunks, front to back.
-  std::uint32_t local = 0;
-  while (PopFront(job.deques[lane].range, &local)) {
-    ExecuteChunk(job, lane, lane + static_cast<std::size_t>(local) * lanes_);
-  }
-  // Steal from the back of the other lanes, round-robin from our right
-  // neighbour. One full silent sweep means every deque is empty (in-flight
-  // chunks may still be running on their claimant).
   while (true) {
-    bool stole = false;
-    for (std::size_t off = 1; off < lanes_; ++off) {
-      const std::size_t victim = (lane + off) % lanes_;
-      if (PopBack(job.deques[victim].range, &local)) {
-        job.steals.fetch_add(1, std::memory_order_relaxed);
-        ExecuteChunk(job, lane,
-                     victim + static_cast<std::size_t>(local) * lanes_);
-        stole = true;
-        break;
-      }
+    const std::size_t chunk = job.next_chunk.fetch_add(1);
+    if (chunk >= job.num_chunks) return;
+    const std::size_t begin = chunk * job.chunk_size;
+    (*job.body)(lane, begin, std::min(job.n, begin + job.chunk_size));
+    // The last chunk to finish wakes the caller. Taking done_mu before the
+    // notify pairs with the caller's predicate re-check, so the wakeup cannot
+    // slip between its check and its wait.
+    if (job.chunks_done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+        job.num_chunks) {
+      { std::lock_guard<std::mutex> lock(job.done_mu); }
+      job.done_cv.notify_all();
     }
-    if (!stole) return;
   }
 }
 
@@ -120,15 +52,15 @@ void ThreadPool::WorkerLoop(std::size_t lane) {
   }
 }
 
-std::uint64_t ThreadPool::ParallelFor(std::size_t n, std::size_t chunk_size,
-                                      const Body& body) {
-  if (n == 0) return 0;
+void ThreadPool::ParallelFor(std::size_t n, std::size_t chunk_size,
+                             const Body& body) {
+  if (n == 0) return;
   if (chunk_size == 0) chunk_size = 1;
   const std::size_t num_chunks = (n + chunk_size - 1) / chunk_size;
   // Serial fast path: nothing to share, run inline with zero synchronization.
   if (lanes_ <= 1 || num_chunks <= 1) {
     body(0, 0, n);
-    return 0;
+    return;
   }
 
   auto job = std::make_shared<Job>();
@@ -136,14 +68,6 @@ std::uint64_t ThreadPool::ParallelFor(std::size_t n, std::size_t chunk_size,
   job->chunk_size = chunk_size;
   job->num_chunks = num_chunks;
   job->body = &body;
-  job->deques.reset(new LaneDeque[lanes_]);
-  for (std::size_t w = 0; w < lanes_; ++w) {
-    // Lane w owns ordinals {w, w + L, ...} below num_chunks.
-    const std::size_t owned =
-        w < num_chunks ? (num_chunks - w + lanes_ - 1) / lanes_ : 0;
-    job->deques[w].range.store(PackRange(0, static_cast<std::uint32_t>(owned)),
-                               std::memory_order_relaxed);
-  }
   {
     std::lock_guard<std::mutex> lock(job_mu_);
     job_ = job;
@@ -160,15 +84,10 @@ std::uint64_t ThreadPool::ParallelFor(std::size_t n, std::size_t chunk_size,
              job->num_chunks;
     });
   }
-  {
-    // Drop the pool's reference so a straggler waking next round sees either
-    // this (fully drained) job or the next one — never a stale body.
-    std::lock_guard<std::mutex> lock(job_mu_);
-    if (job_ == job) job_.reset();
-  }
-  const std::uint64_t stolen = job->steals.load(std::memory_order_relaxed);
-  total_steals_.fetch_add(stolen, std::memory_order_relaxed);
-  return stolen;
+  // Drop the pool's reference so a straggler waking next round sees either
+  // this (fully drained) job or the next one — never a stale body.
+  std::lock_guard<std::mutex> lock(job_mu_);
+  if (job_ == job) job_.reset();
 }
 
 }  // namespace veritas

@@ -1,26 +1,24 @@
-// ThreadPool: a persistent work-stealing pool for the lookahead scans.
+// ThreadPool: the persistent pool behind the lookahead candidate scans.
 //
 // The MEU-family strategies used to spawn fresh std::threads for every
 // SelectNext round — thousands of thread creations per session, each paying
-// kernel setup and cold stacks. This pool is created once per strategy and
+// kernel setup and cold stacks. This pool is created once per scan and
 // reused: N-1 background workers sleep on a condition variable between
 // rounds, and the caller participates as lane 0, so a ParallelFor costs one
 // notify + one join-free completion wait instead of N thread spawns.
 //
-// Scheduling: the index range is cut into fixed-size chunks and chunk
-// ordinals are dealt to lanes round-robin (lane w owns chunks w, w+L,
-// w+2L, ...). A strided deal means every lane starts near the *front* of the
-// range, which the MEU scan exploits by placing last round's best candidates
-// first — the branch-and-bound threshold tightens early no matter which lane
-// runs first. Each lane pops its own chunks front-to-back; an idle lane
-// steals a victim's *back* chunk (the least-promising work). A lane's deque
-// is a single packed head|tail atomic, so owner pops and steals are one CAS
-// each and a chunk can never execute twice — TSan-clean by construction.
+// Scheduling: the index range is cut into fixed-size chunks, and every lane
+// claims the next chunk from one shared atomic cursor, front to back. The
+// front of the range therefore always runs first, whichever lanes are
+// awake — the MEU scan places last round's best candidates there so its
+// branch-and-bound threshold tightens early. A stalled lane holds only the
+// chunk it is running; the others keep draining the cursor. One
+// fetch_add per chunk means a chunk can never execute twice.
 //
 // Determinism contract: the pool guarantees every index in [0, n) is
-// executed exactly once, but NOT in a fixed order and NOT on a fixed lane.
-// Callers that need deterministic results must write to disjoint slots and
-// reduce after ParallelFor returns (see MeuStrategy for the pattern).
+// executed exactly once, but NOT on a fixed lane or in a fixed completion
+// order. Callers that need deterministic results must write to disjoint
+// slots and reduce after ParallelFor returns (see CandidateScan).
 //
 // Not reentrant: ParallelFor must not be called from inside a body, and a
 // pool must not run two ParallelFors concurrently. Bodies poll their own
@@ -58,25 +56,11 @@ class ThreadPool {
   std::size_t lanes() const { return lanes_; }
 
   /// Executes body over [0, n) in chunks of `chunk_size`, blocking until
-  /// every index ran. Returns the number of successful steals (0 on the
-  /// inline serial path). The caller participates as lane 0.
-  std::uint64_t ParallelFor(std::size_t n, std::size_t chunk_size,
-                            const Body& body);
-
-  /// Lifetime total of successful steals across all ParallelFor calls.
-  std::uint64_t steals() const {
-    return total_steals_.load(std::memory_order_relaxed);
-  }
+  /// every index ran. The caller participates as lane 0; a single chunk
+  /// runs inline on it.
+  void ParallelFor(std::size_t n, std::size_t chunk_size, const Body& body);
 
  private:
-  // One packed [head, tail) range of chunk ordinals in *local* index space
-  // (local t on lane w = global chunk w + t * lanes). head sits in the high
-  // 32 bits. Owner pops advance head, steals retreat tail; both are a single
-  // CAS on the same word, so the range can never be claimed twice.
-  struct alignas(64) LaneDeque {
-    std::atomic<std::uint64_t> range{0};
-  };
-
   // Heap-allocated per ParallelFor and shared with the workers, so a
   // straggler waking after the next round started only ever sees a fully
   // drained old job — never a half-initialized new one.
@@ -85,20 +69,17 @@ class ThreadPool {
     std::size_t chunk_size = 0;
     std::size_t num_chunks = 0;
     const Body* body = nullptr;
-    std::unique_ptr<LaneDeque[]> deques;  // One per lane (atomics don't move).
+    std::atomic<std::size_t> next_chunk{0};  // The shared cursor.
     std::atomic<std::size_t> chunks_done{0};
-    std::atomic<std::uint64_t> steals{0};
     std::mutex done_mu;
     std::condition_variable done_cv;
   };
 
   void WorkerLoop(std::size_t lane);
-  /// Drains lane's own deque front-to-back, then steals round-robin.
+  /// Claims chunks off the shared cursor until it runs past the end.
   void RunLane(Job& job, std::size_t lane) const;
-  void ExecuteChunk(Job& job, std::size_t lane, std::size_t ordinal) const;
 
   const std::size_t lanes_;
-  std::atomic<std::uint64_t> total_steals_{0};
 
   std::mutex job_mu_;
   std::condition_variable job_cv_;

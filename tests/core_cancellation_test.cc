@@ -15,13 +15,10 @@
 #include "data/synthetic.h"
 #include "fusion/accu.h"
 #include "util/cancellation.h"
+#include "test_dir.h"
 
 namespace veritas {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 void RemoveChain(const std::string& path) {
   std::remove(path.c_str());
@@ -127,7 +124,7 @@ TEST_F(CancellationSessionTest, ExpiredDeadlineStopsBeforeTheFirstRound) {
 
 TEST_F(CancellationSessionTest,
        ExpiredDeadlineStillWritesAResumableCheckpoint) {
-  const std::string path = TempPath("veritas_cancel_deadline_ckpt.txt");
+  const std::string path = TestPath("veritas_cancel_deadline_ckpt.txt");
   RemoveChain(path);
   QbcStrategy strategy;
   PerfectOracle oracle;
@@ -170,7 +167,7 @@ TEST_F(CancellationSessionTest, GracefulCancelResumesBitExactly) {
   }
   ASSERT_GT(trace_a.steps.size(), 7u);  // The cancel point must be mid-run.
 
-  const std::string path = TempPath("veritas_cancel_graceful_ckpt.txt");
+  const std::string path = TestPath("veritas_cancel_graceful_ckpt.txt");
   RemoveChain(path);
 
   {
@@ -234,7 +231,7 @@ TEST_F(CancellationSessionTest, HardCancelDiscardsTheRoundAndStillResumes) {
     trace_a = *trace;
   }
 
-  const std::string path = TempPath("veritas_cancel_hard_ckpt.txt");
+  const std::string path = TestPath("veritas_cancel_hard_ckpt.txt");
   RemoveChain(path);
 
   {

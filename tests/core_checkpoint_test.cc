@@ -16,13 +16,10 @@
 #include "data/example_data.h"
 #include "data/synthetic.h"
 #include "fusion/accu.h"
+#include "test_dir.h"
 
 namespace veritas {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 // Bit-exact trace comparison, excluding wall-clock timing fields (the only
 // fields a resume legitimately changes).
@@ -88,7 +85,7 @@ TEST_F(CheckpointTest, SaveLoadRoundTripsEveryField) {
   cp.rng_state = "12345 67890";
   cp.oracle_state = "0 |";
 
-  const std::string path = TempPath("veritas_ckpt_roundtrip.txt");
+  const std::string path = TestPath("veritas_ckpt_roundtrip.txt");
   ASSERT_TRUE(SaveSessionCheckpoint(cp, path).ok());
   const auto loaded = LoadSessionCheckpoint(path, db_);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
@@ -119,13 +116,13 @@ TEST_F(CheckpointTest, SaveLoadRoundTripsEveryField) {
 
 TEST_F(CheckpointTest, MissingFileIsNotFound) {
   const auto loaded =
-      LoadSessionCheckpoint(TempPath("veritas_ckpt_nope.txt"), db_);
+      LoadSessionCheckpoint(TestPath("veritas_ckpt_nope.txt"), db_);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(CheckpointTest, CorruptFileIsInvalidArgument) {
-  const std::string path = TempPath("veritas_ckpt_corrupt.txt");
+  const std::string path = TestPath("veritas_ckpt_corrupt.txt");
   {
     std::ofstream out(path);
     out << "not a checkpoint at all\n";
@@ -137,7 +134,7 @@ TEST_F(CheckpointTest, CorruptFileIsInvalidArgument) {
 }
 
 TEST_F(CheckpointTest, FutureVersionIsRejected) {
-  const std::string path = TempPath("veritas_ckpt_future.txt");
+  const std::string path = TestPath("veritas_ckpt_future.txt");
   {
     std::ofstream out(path);
     out << "veritas-checkpoint 999\nend\n";
@@ -148,8 +145,21 @@ TEST_F(CheckpointTest, FutureVersionIsRejected) {
   std::remove(path.c_str());
 }
 
+TEST_F(CheckpointTest, TrailerlessV1IsRejected) {
+  // v1 predates the checksum trailer; loading one would trust unverified
+  // bytes, so it is rejected like any other non-current version.
+  const std::string path = TestPath("veritas_ckpt_v1.txt");
+  {
+    std::ofstream out(path);
+    out << "veritas-checkpoint 1\nmeta 0 0 0 0\nend\n";
+  }
+  const auto loaded = LoadSessionCheckpoint(path, db_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(CheckpointTest, SessionWritesCheckpointDuringRun) {
-  const std::string path = TempPath("veritas_ckpt_written.txt");
+  const std::string path = TestPath("veritas_ckpt_written.txt");
   std::remove(path.c_str());
   QbcStrategy strategy;
   PerfectOracle oracle;
@@ -198,7 +208,7 @@ TEST_F(CheckpointTest, ResumeMatchesUninterruptedRun) {
   }
   ASSERT_GT(trace_a.steps.size(), 8u);  // The kill point must be mid-run.
 
-  const std::string path = TempPath("veritas_ckpt_resume.txt");
+  const std::string path = TestPath("veritas_ckpt_resume.txt");
   std::remove(path.c_str());
 
   // Run B: same seeds, killed after 8 validations, checkpointing as it goes.
@@ -239,7 +249,7 @@ TEST_F(CheckpointTest, ResumeFromMissingFileIsAFreshStart) {
   QbcStrategy strategy;
   PerfectOracle oracle;
   SessionOptions options;
-  options.resume_path = TempPath("veritas_ckpt_never_written.txt");
+  options.resume_path = TestPath("veritas_ckpt_never_written.txt");
   Rng rng(5);
   FeedbackSession session(db_, model_, &strategy, &oracle, truth_, options,
                           &rng);
@@ -249,7 +259,7 @@ TEST_F(CheckpointTest, ResumeFromMissingFileIsAFreshStart) {
 }
 
 TEST_F(CheckpointTest, ResumeAfterCompletionReplaysTheFinishedTrace) {
-  const std::string path = TempPath("veritas_ckpt_done.txt");
+  const std::string path = TestPath("veritas_ckpt_done.txt");
   std::remove(path.c_str());
   SessionTrace first;
   {
@@ -280,7 +290,7 @@ TEST_F(CheckpointTest, ResumeAfterCompletionReplaysTheFinishedTrace) {
 }
 
 TEST_F(CheckpointTest, CorruptResumeFileAbortsTheRun) {
-  const std::string path = TempPath("veritas_ckpt_bad_resume.txt");
+  const std::string path = TestPath("veritas_ckpt_bad_resume.txt");
   {
     std::ofstream out(path);
     out << "garbage\n";

@@ -8,6 +8,7 @@
 
 #include "data/example_data.h"
 #include "data/synthetic.h"
+#include "test_dir.h"
 
 namespace veritas {
 namespace {
@@ -15,8 +16,8 @@ namespace {
 class LoaderTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    obs_path_ = ::testing::TempDir() + "/veritas_obs.csv";
-    truth_path_ = ::testing::TempDir() + "/veritas_truth.csv";
+    obs_path_ = TestPath("veritas_obs.csv");
+    truth_path_ = TestPath("veritas_truth.csv");
   }
   void TearDown() override {
     std::remove(obs_path_.c_str());

@@ -21,6 +21,7 @@
 #include "obs/metrics.h"
 #include "util/csv.h"
 #include "util/rng.h"
+#include "test_dir.h"
 
 namespace veritas {
 namespace {
@@ -75,15 +76,10 @@ std::string Mutate(const std::string& clean, Rng* rng) {
 
 class DurabilityFuzzTest : public ::testing::Test {
  protected:
-  // A dedicated directory per fixture keeps the mutated file free of
-  // recovery-chain siblings (`*.1`, `*.2`), so every load exercises exactly
-  // the corrupted head.
-  void SetUp() override {
-    dir_ = ::testing::TempDir() + "/veritas_fuzz";
-    fs::remove_all(dir_);
-    fs::create_directory(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
+  // A dedicated, initially empty directory per test keeps the mutated file
+  // free of recovery-chain siblings (`*.1`, `*.2`), so every load exercises
+  // exactly the corrupted head.
+  void SetUp() override { dir_ = TestDir(); }
 
   std::string MakeValidCheckpointFile() {
     SessionCheckpoint cp;
@@ -214,6 +210,26 @@ TEST_F(DurabilityFuzzTest, UnreadableVersionIsDistinguishedFromUnsupported) {
   loaded = LoadSessionCheckpoint(path, db_);
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("unsupported format version 999"),
+            std::string::npos)
+      << loaded.status();
+}
+
+TEST_F(DurabilityFuzzTest, TrailerlessV1IsRejected) {
+  // A well-formed checkpoint rewritten as v1: header version 1 and no
+  // checksum trailer. It must fail typed, without being parsed unverified.
+  std::string contents = Slurp(MakeValidCheckpointFile());
+  const std::size_t trailer = contents.rfind("crc32c ");
+  ASSERT_NE(trailer, std::string::npos);
+  contents.erase(trailer);
+  const std::string header = "veritas-checkpoint 2";
+  ASSERT_EQ(contents.compare(0, header.size(), header), 0);
+  contents.replace(0, header.size(), "veritas-checkpoint 1");
+  const std::string path = dir_ + "/v1.txt";
+  Spit(path, contents);
+  const auto loaded = LoadSessionCheckpoint(path, db_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("unsupported format version 1"),
             std::string::npos)
       << loaded.status();
 }

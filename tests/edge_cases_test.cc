@@ -13,6 +13,7 @@
 #include "fusion/fusion_factory.h"
 #include "model/database_builder.h"
 #include "util/math.h"
+#include "test_dir.h"
 
 namespace veritas {
 namespace {
@@ -197,7 +198,7 @@ TEST(EdgeCaseTest, BudgetExceedingCandidatesStopsCleanly) {
 class HostileFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/veritas_hostile.csv";
+    path_ = TestPath("veritas_hostile.csv");
   }
   void TearDown() override { std::remove(path_.c_str()); }
   void WriteFile(const std::string& content) {

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "gtest/gtest.h"
+#include "test_dir.h"
 
 namespace veritas {
 namespace {
@@ -18,10 +19,6 @@ std::string ReadFile(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
-}
-
-std::string TempPath(const char* name) {
-  return testing::TempDir() + "/" + name;
 }
 
 TEST(BenchJsonParseTest, RoundTripsRenderOutput) {
@@ -52,7 +49,7 @@ TEST(BenchJsonParseTest, RejectsMalformedDocuments) {
 }
 
 TEST(BenchJsonMergeTest, CreatesFileWhenMissing) {
-  const std::string path = TempPath("bench_merge_missing.json");
+  const std::string path = TestPath("bench_merge_missing.json");
   std::remove(path.c_str());
   BenchJsonFile file("veritas-bench-test-v1");
   file.Add("solo").Set("value", 1.0);
@@ -61,7 +58,7 @@ TEST(BenchJsonMergeTest, CreatesFileWhenMissing) {
 }
 
 TEST(BenchJsonMergeTest, UpsertsByNameAndKeyFields) {
-  const std::string path = TempPath("bench_merge_upsert.json");
+  const std::string path = TestPath("bench_merge_upsert.json");
   BenchJsonFile base("veritas-bench-test-v1");
   base.SetMeta("scale", "full");
   base.Add("sweep").Set("dataset", "books").Set("threads",
@@ -101,7 +98,7 @@ TEST(BenchJsonMergeTest, UpsertsByNameAndKeyFields) {
 }
 
 TEST(BenchJsonMergeTest, NameOnlyUpsertReplacesSingleton) {
-  const std::string path = TempPath("bench_merge_name_only.json");
+  const std::string path = TestPath("bench_merge_name_only.json");
   BenchJsonFile base("veritas-bench-test-v1");
   base.Add("ingest").Set("obs_per_second", 100.0);
   base.Add("sweep").Set("threads", static_cast<std::size_t>(1));
@@ -118,7 +115,7 @@ TEST(BenchJsonMergeTest, NameOnlyUpsertReplacesSingleton) {
 }
 
 TEST(BenchJsonMergeTest, ReplacesForeignFileOutright) {
-  const std::string path = TempPath("bench_merge_foreign.json");
+  const std::string path = TestPath("bench_merge_foreign.json");
   {
     std::ofstream out(path, std::ios::binary);
     out << "not json at all";

@@ -9,6 +9,7 @@
 #include "data/example_data.h"
 #include "fusion/accu.h"
 #include "util/csv.h"
+#include "test_dir.h"
 
 namespace veritas {
 namespace {
@@ -16,7 +17,7 @@ namespace {
 class ExportTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/veritas_export.csv";
+    path_ = TestPath("veritas_export.csv");
   }
   void TearDown() override { std::remove(path_.c_str()); }
 

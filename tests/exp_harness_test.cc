@@ -13,6 +13,7 @@
 #include "exp/report.h"
 #include "exp/scale.h"
 #include "fusion/accu.h"
+#include "test_dir.h"
 
 namespace veritas {
 namespace {
@@ -221,7 +222,7 @@ TEST(ReportTest, MaybeExportCsvRespectsEnv) {
   table.AddRow({"1", "2"});
   unsetenv("VERITAS_CSV_DIR");
   EXPECT_FALSE(MaybeExportCsv("report_test", table));
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = TestDir();
   setenv("VERITAS_CSV_DIR", dir.c_str(), 1);
   EXPECT_TRUE(MaybeExportCsv("report_test", table));
   unsetenv("VERITAS_CSV_DIR");

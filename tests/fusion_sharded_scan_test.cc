@@ -111,11 +111,11 @@ TEST(MergeTopCandidatesTest, CandidateSubsetOnly) {
 
 // ---------- End-to-end selection equality ----------
 
-struct ShardCase {
-  std::string model;
-};
-
-class ShardedSelectionTest : public ::testing::TestWithParam<ShardCase> {};
+// The param is the model name as a plain string: gtest prints it by value,
+// so the discovered test names are the same in every build. (A struct
+// without a PrintTo is printed as raw bytes, and std::string's data pointer
+// would put a heap address into the name.)
+class ShardedSelectionTest : public ::testing::TestWithParam<std::string> {};
 
 // The sharded scan must select exactly what the classic scan selects —
 // the bench enforces this at the million-item scale; here it runs on every
@@ -127,7 +127,7 @@ TEST_P(ShardedSelectionTest, ShardedMatchesUnsharded) {
   config.avg_votes_per_item = 8.0;
   config.seed = 11;
   const SyntheticDataset data = GenerateLongTail(config);
-  auto model = MakeFusionModel(GetParam().model);
+  auto model = MakeFusionModel(GetParam());
   ASSERT_TRUE(model.ok());
   FusionOptions opts;
   const FusionResult base = (*model)->Fuse(data.db, PriorSet(), opts);
@@ -160,10 +160,8 @@ TEST_P(ShardedSelectionTest, ShardedMatchesUnsharded) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, ShardedSelectionTest,
-                         ::testing::Values(ShardCase{"accu"},
-                                           ShardCase{"voting"},
-                                           ShardCase{"truthfinder"}),
-                         [](const auto& info) { return info.param.model; });
+                         ::testing::Values("accu", "voting", "truthfinder"),
+                         [](const auto& info) { return info.param; });
 
 TEST(ShardedSelectionTest, MoreShardsThanItems) {
   // Every populated shard holds one item; the rest are empty and must be

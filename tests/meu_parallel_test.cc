@@ -1,21 +1,26 @@
-// Equivalence suite for the pruned, work-stealing MEU lookahead scan
-// (DESIGN.md §5f): selections must be identical to the unpruned serial scan
-// for every fusion model and thread count, pruning must actually fire, and
-// the scan must stay correct across seeded rounds. Lives in the concurrency
-// binary so CI reruns it under ThreadSanitizer.
+// Equivalence suite for the pruned MEU lookahead scan and the shared
+// CandidateScan kernel (DESIGN.md §5f): selections must be identical to the
+// unpruned serial scan for every fusion model and thread count, pruning must
+// actually fire, the scan must stay correct across seeded rounds, and every
+// lookahead strategy must select the same items at every lane count. Lives
+// in the concurrency binary so CI reruns it under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/candidate_scan.h"
+#include "core/hybrid.h"
 #include "core/meu.h"
 #include "core/strategy.h"
+#include "core/strategy_factory.h"
 #include "data/synthetic.h"
 #include "fusion/accu.h"
 #include "fusion/delta_fusion.h"
 #include "fusion/truthfinder.h"
 #include "fusion/voting.h"
+#include "model/item_graph.h"
 #include "obs/metrics.h"
 
 namespace veritas {
@@ -30,9 +35,10 @@ std::unique_ptr<FusionModel> MakeModel(const std::string& name) {
 // One synthetic dataset + fused state + delta engine per fusion model, with
 // a StrategyContext wired the way FeedbackSession wires it (delta path on).
 struct ScanFixture {
-  explicit ScanFixture(const std::string& model_name, std::uint64_t seed = 47) {
+  explicit ScanFixture(const std::string& model_name, std::uint64_t seed = 47,
+                       std::size_t num_items = 80) {
     DenseConfig config;
-    config.num_items = 80;
+    config.num_items = num_items;
     config.num_sources = 12;
     config.density = 0.5;
     config.seed = seed;
@@ -40,12 +46,15 @@ struct ScanFixture {
     model = MakeModel(model_name);
     fusion = model->Fuse(data.db, priors, opts);
     delta = DeltaFusionEngine::Create(data.db, *model, opts);
+    graph = std::make_unique<ItemGraph>(data.db);
     ctx.db = &data.db;
     ctx.fusion = &fusion;
     ctx.priors = &priors;
     ctx.model = model.get();
     ctx.fusion_opts = &opts;
     ctx.delta = delta.get();
+    ctx.graph = graph.get();
+    ctx.ground_truth = &data.truth;
   }
 
   // Pins `item` to claim 0 and re-fuses, as one feedback round would.
@@ -60,6 +69,7 @@ struct ScanFixture {
   PriorSet priors;
   FusionResult fusion;
   std::unique_ptr<DeltaFusionEngine> delta;
+  std::unique_ptr<ItemGraph> graph;
   StrategyContext ctx;
 };
 
@@ -92,7 +102,8 @@ TEST(MeuPrunedParallelTest, UnprunedGainsAreBitIdenticalAcrossThreadCounts) {
   for (const char* model_name : kModels) {
     ScanFixture fx(model_name);
     const std::vector<ItemId> candidates = CandidateItems(fx.ctx);
-    ASSERT_FALSE(candidates.empty()) << model_name;
+    // Enough candidates that the multi-lane scans take the pooled path.
+    ASSERT_GE(candidates.size(), CandidateScan::kSerialCutoff) << model_name;
 
     MeuScanOptions off;
     off.prune = false;
@@ -101,9 +112,7 @@ TEST(MeuPrunedParallelTest, UnprunedGainsAreBitIdenticalAcrossThreadCounts) {
         serial.ScoreCandidateGains(fx.ctx, candidates, 5, false);
 
     for (const std::size_t threads : {std::size_t{4}, std::size_t{8}}) {
-      MeuScanOptions scan = off;
-      scan.serial_cutoff = 1;  // Force the pool even on this small set.
-      MeuStrategy parallel(threads, scan);
+      MeuStrategy parallel(threads, off);
       const std::vector<double> got =
           parallel.ScoreCandidateGains(fx.ctx, candidates, 5, false);
       ASSERT_EQ(got.size(), want.size());
@@ -126,16 +135,16 @@ TEST(MeuPrunedParallelTest, PruningFiresOnTheDeltaPath) {
   const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
   // A batch-1 scan over ~80 conflicting items must abandon most of them.
   EXPECT_GT(after.Value("meu.candidates_pruned"), 0.0);
-  // The empirical check on the prune_margin_rel bound: no observed gain may
+  // The empirical check on the kPruneMarginRel bound: no observed gain may
   // come near the assumed (1 + margin) * H_item ceiling.
   EXPECT_LT(after.Value("meu.max_gain_bound_ratio"),
-            1.0 + pruned.scan_options().prune_margin_rel);
+            1.0 + MeuStrategy::kPruneMarginRel);
 }
 
 TEST(MeuPrunedParallelTest, GainBoundMarginHoldsOnEveryModel) {
   // Score every candidate exactly (pruning off) and check the largest
   // observed gain / H_item quotient against the bound the pruner assumes:
-  // exactly 1 for Voting (a pin moves nothing else), 1 + prune_margin_rel
+  // exactly 1 for Voting (a pin moves nothing else), 1 + kPruneMarginRel
   // for the models with cross-item influence.
   for (const char* model_name : kModels) {
     ScanFixture fx(model_name);
@@ -149,7 +158,7 @@ TEST(MeuPrunedParallelTest, GainBoundMarginHoldsOnEveryModel) {
     const double ratio =
         MetricsRegistry::Global().Snapshot().Value("meu.max_gain_bound_ratio");
     const double ceiling = fx.delta->cross_item_influence()
-                               ? 1.0 + off.prune_margin_rel
+                               ? 1.0 + MeuStrategy::kPruneMarginRel
                                : 1.0 + 1e-9;
     EXPECT_LT(ratio, ceiling) << model_name;
     EXPECT_GT(ratio, 0.0) << model_name;
@@ -187,6 +196,55 @@ TEST(MeuPrunedParallelTest, ResetClearsTheSeedRanking) {
   // A reset strategy must reproduce the fresh-strategy scan exactly.
   EXPECT_EQ(pruned.SelectBatch(fx.ctx, 3), first);
 }
+
+// Every lookahead strategy runs its candidates through CandidateScan; its
+// selections must not depend on the lane count.
+struct LaneCase {
+  std::string strategy;
+  std::size_t lanes;
+};
+
+class LaneInvarianceTest : public ::testing::TestWithParam<LaneCase> {};
+
+TEST_P(LaneInvarianceTest, SelectionsMatchOneLane) {
+  const LaneCase& param = GetParam();
+  ScanFixture fx("accu", /*seed=*/47, /*num_items=*/160);
+  auto reference = MakeStrategy(param.strategy, 1);
+  auto strategy = MakeStrategy(param.strategy, param.lanes);
+  ASSERT_TRUE(reference.ok() && strategy.ok()) << param.strategy;
+  for (int round = 0; round < 2; ++round) {
+    // Enough candidates that the multi-lane scan takes the pooled path.
+    const std::size_t scanned =
+        param.strategy.rfind("approx_meu_k:", 0) == 0
+            ? ApproxMeuKStrategy::FilterCandidates(fx.ctx, 50).size()
+            : CandidateItems(fx.ctx).size();
+    ASSERT_GE(scanned, CandidateScan::kSerialCutoff) << "round " << round;
+    const std::vector<ItemId> want = (*reference)->SelectBatch(fx.ctx, 3);
+    ASSERT_EQ(want.size(), 3u) << "round " << round;
+    EXPECT_EQ((*strategy)->SelectBatch(fx.ctx, 3), want) << "round " << round;
+    fx.Validate(want.front());
+  }
+}
+
+std::vector<LaneCase> LaneCases() {
+  std::vector<LaneCase> cases;
+  for (const char* strategy : {"meu", "approx_meu", "approx_meu_k:50", "gub"}) {
+    for (const std::size_t lanes : {1u, 2u, 4u}) {
+      cases.push_back({strategy, lanes});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Strategies, LaneInvarianceTest, ::testing::ValuesIn(LaneCases()),
+    [](const ::testing::TestParamInfo<LaneCase>& info) {
+      std::string name = info.param.strategy;
+      for (char& c : name) {
+        if (c == ':') c = '_';
+      }
+      return name + "_" + std::to_string(info.param.lanes) + "lanes";
+    });
 
 }  // namespace
 }  // namespace veritas

@@ -1,6 +1,7 @@
 // Tests of the metrics registry: instrument identity, concurrent updates,
 // histogram bucket edges, snapshots and the JSON/text renderings.
 #include "obs/metrics.h"
+#include "test_dir.h"
 
 #include <cmath>
 #include <cstdio>
@@ -218,7 +219,7 @@ TEST(MetricsSnapshotTest, JsonAndTextContainInstruments) {
 TEST(MetricsRegistryTest, WriteJsonFileRoundTripsThroughDisk) {
   MetricsRegistry registry;
   registry.GetCounter("written")->Add(1);
-  const std::string path = ::testing::TempDir() + "/veritas_metrics_test.json";
+  const std::string path = TestPath("veritas_metrics_test.json");
   ASSERT_TRUE(registry.WriteJsonFile(path).ok());
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open());

@@ -3,6 +3,7 @@
 // parser), spans must nest and merge across threads, and a disabled
 // recorder must emit nothing.
 #include "obs/trace.h"
+#include "test_dir.h"
 
 #include <algorithm>
 #include <cctype>
@@ -231,7 +232,7 @@ TEST(TraceRecorderTest, WriteChromeJsonRoundTripsThroughDisk) {
   TraceRecorder recorder;
   recorder.Enable();
   recorder.RecordSpan("disk", "t", 1.0, 2.0);
-  const std::string path = ::testing::TempDir() + "/veritas_trace_test.json";
+  const std::string path = TestPath("veritas_trace_test.json");
   ASSERT_TRUE(recorder.WriteChromeJson(path).ok());
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open());

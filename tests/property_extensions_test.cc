@@ -14,6 +14,7 @@
 #include "util/math.h"
 #include "util/csv.h"
 #include "util/stats.h"
+#include "test_dir.h"
 
 namespace veritas {
 namespace {
@@ -235,7 +236,7 @@ TEST_P(ExportPropertyTest, FusionCsvHasOneWinnerPerItem) {
   }
   AccuFusion model;
   const FusionResult fused = model.Fuse(data.db, FusionOptions{});
-  const std::string path = ::testing::TempDir() + "/veritas_export_prop.csv";
+  const std::string path = TestPath("veritas_export_prop.csv");
   ASSERT_TRUE(WriteFusionCsv(data.db, fused, path).ok());
   const auto rows = ReadCsvFile(path);
   ASSERT_TRUE(rows.ok());

@@ -12,13 +12,10 @@
 #include <string>
 
 #include "serve/session_manifest.h"
+#include "test_dir.h"
 
 namespace veritas {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 SessionSpec FullSpec() {
   SessionSpec spec;
@@ -41,7 +38,7 @@ SessionSpec FullSpec() {
 }
 
 TEST(SessionManifestTest, RoundTripsEveryField) {
-  const std::string path = TempPath("veritas_manifest_roundtrip.session");
+  const std::string path = TestPath("veritas_manifest_roundtrip.session");
   const SessionSpec spec = FullSpec();
   ASSERT_TRUE(SaveSessionManifest(spec, path).ok());
   auto loaded = LoadSessionManifest(path);
@@ -66,7 +63,7 @@ TEST(SessionManifestTest, RoundTripsEveryField) {
 }
 
 TEST(SessionManifestTest, EmptyStringsRoundTrip) {
-  const std::string path = TempPath("veritas_manifest_empty.session");
+  const std::string path = TestPath("veritas_manifest_empty.session");
   SessionSpec spec;
   spec.id = "plain";
   spec.flaky_plan = "";
@@ -78,13 +75,13 @@ TEST(SessionManifestTest, EmptyStringsRoundTrip) {
 }
 
 TEST(SessionManifestTest, MissingFileIsNotFound) {
-  auto loaded = LoadSessionManifest(TempPath("veritas_no_such.session"));
+  auto loaded = LoadSessionManifest(TestPath("veritas_no_such.session"));
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
 TEST(SessionManifestTest, TruncatedManifestIsInvalid) {
-  const std::string path = TempPath("veritas_manifest_trunc.session");
+  const std::string path = TestPath("veritas_manifest_trunc.session");
   ASSERT_TRUE(SaveSessionManifest(FullSpec(), path).ok());
   std::ifstream in(path);
   std::string content((std::istreambuf_iterator<char>(in)),
@@ -100,7 +97,7 @@ TEST(SessionManifestTest, TruncatedManifestIsInvalid) {
 }
 
 TEST(SessionManifestTest, BadHeaderIsInvalid) {
-  const std::string path = TempPath("veritas_manifest_header.session");
+  const std::string path = TestPath("veritas_manifest_header.session");
   std::ofstream out(path, std::ios::trunc);
   out << "not-a-manifest v9\nend\n";
   out.close();
@@ -121,7 +118,7 @@ TEST(SessionManifestTest, ValidatesSessionIds) {
 }
 
 TEST(SessionManifestTest, ListsOnlyManifestsSorted) {
-  const std::string dir = TempPath("veritas_manifest_list_dir");
+  const std::string dir = TestPath("veritas_manifest_list_dir");
   std::remove((dir + "/b.session").c_str());
   std::remove((dir + "/a.session").c_str());
   std::remove((dir + "/a.ckpt").c_str());
@@ -146,7 +143,7 @@ TEST(SessionManifestTest, PathsAreDerivedFromIds) {
 }
 
 TEST(SessionManifestTest, RemovesOnlyDeadWritersTempFiles) {
-  const std::string dir = TempPath("veritas_manifest_janitor_dir");
+  const std::string dir = TestPath("veritas_manifest_janitor_dir");
   if (DIR* d = ::opendir(dir.c_str())) {  // Residue from a previous run.
     while (struct dirent* entry = ::readdir(d)) {
       ::unlink((dir + "/" + entry->d_name).c_str());

@@ -23,24 +23,10 @@
 #include "net/server.h"
 #include "obs/metrics.h"
 #include "serve/session_supervisor.h"
+#include "test_dir.h"
 
 namespace veritas {
 namespace {
-
-std::string UniqueDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
-  const auto ids = ListSessionManifests(dir);
-  if (ids.ok()) {
-    for (const std::string& id : *ids) {
-      std::remove(SessionManifestPath(dir, id).c_str());
-      const std::string ckpt = SessionCheckpointPath(dir, id);
-      std::remove(ckpt.c_str());
-      std::remove((ckpt + ".1").c_str());
-      std::remove((ckpt + ".2").c_str());
-    }
-  }
-  return dir;
-}
 
 /// Names of leftover atomic-write temporaries — the durable-file layer
 /// guarantees zero of these survive, whatever the chaos plan did.
@@ -82,7 +68,7 @@ class NetServeTest : public ::testing::Test {
 
   SupervisorOptions SupOptions(const std::string& dir) {
     SupervisorOptions options;
-    options.sessions_dir = UniqueDir(dir);
+    options.sessions_dir = TestPath(dir);
     options.max_concurrent_sessions = 2;
     options.max_queue_depth = 16;
     return options;

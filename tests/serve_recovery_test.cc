@@ -19,24 +19,10 @@
 #include "data/synthetic.h"
 #include "obs/metrics.h"
 #include "serve/session_supervisor.h"
+#include "test_dir.h"
 
 namespace veritas {
 namespace {
-
-std::string UniqueDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
-  const auto ids = ListSessionManifests(dir);
-  if (ids.ok()) {
-    for (const std::string& id : *ids) {
-      std::remove(SessionManifestPath(dir, id).c_str());
-      const std::string ckpt = SessionCheckpointPath(dir, id);
-      std::remove(ckpt.c_str());
-      std::remove((ckpt + ".1").c_str());
-      std::remove((ckpt + ".2").c_str());
-    }
-  }
-  return dir;
-}
 
 bool Exists(const std::string& path) {
   struct stat st;
@@ -84,7 +70,7 @@ class RecoveryTest : public ::testing::Test {
 // destroyed (durable state survives); a brand-new supervisor B over the
 // same directory sweeps, resumes, and finishes the session.
 TEST_F(RecoveryTest, NewSupervisorResumesWhatTheOldOneLeft) {
-  const std::string dir = UniqueDir("rec_restart");
+  const std::string dir = TestPath("rec_restart");
   {
     SupervisorOptions options;
     options.sessions_dir = dir;
@@ -123,7 +109,7 @@ TEST_F(RecoveryTest, NewSupervisorResumesWhatTheOldOneLeft) {
 
 TEST_F(RecoveryTest, AbandonsSessionsPastTheAttemptCap) {
   MetricsRegistry::Global().Reset();
-  const std::string dir = UniqueDir("rec_cap");
+  const std::string dir = TestPath("rec_cap");
   SupervisorOptions options;
   options.sessions_dir = dir;
   options.max_recovery_attempts = 3;
@@ -141,7 +127,7 @@ TEST_F(RecoveryTest, AbandonsSessionsPastTheAttemptCap) {
 }
 
 TEST_F(RecoveryTest, RecoveryIncrementsTheDurableAttemptCount) {
-  const std::string dir = UniqueDir("rec_count");
+  const std::string dir = TestPath("rec_count");
   SupervisorOptions options;
   options.sessions_dir = dir;
   SessionSupervisor supervisor(data_.db, data_.truth, options);
@@ -160,7 +146,7 @@ TEST_F(RecoveryTest, RecoveryIncrementsTheDurableAttemptCount) {
 }
 
 TEST_F(RecoveryTest, CorruptManifestIsAbandonedNotRetried) {
-  const std::string dir = UniqueDir("rec_corrupt");
+  const std::string dir = TestPath("rec_corrupt");
   SupervisorOptions options;
   options.sessions_dir = dir;
   SessionSupervisor supervisor(data_.db, data_.truth, options);
@@ -194,7 +180,7 @@ TEST_F(RecoveryTest, ConcurrentEvictRestoreCyclesStayIsolated) {
   // References: each spec run alone, uninterrupted.
   std::map<std::string, SessionReport> reference;
   for (const auto& id : {std::string("alpha"), std::string("beta")}) {
-    const std::string ref_dir = UniqueDir("rec_iso_ref_" + id);
+    const std::string ref_dir = TestPath("rec_iso_ref_" + id);
     SupervisorOptions options;
     options.sessions_dir = ref_dir;
     options.keep_traces = true;
@@ -210,7 +196,7 @@ TEST_F(RecoveryTest, ConcurrentEvictRestoreCyclesStayIsolated) {
   ASSERT_NE(reference["alpha"].trace.final_fusion.accuracies(),
             reference["beta"].trace.final_fusion.accuracies());
 
-  const std::string dir = UniqueDir("rec_iso");
+  const std::string dir = TestPath("rec_iso");
   SupervisorOptions options;
   options.sessions_dir = dir;
   options.max_concurrent_sessions = 2;  // Both sessions in flight at once.

@@ -14,25 +14,10 @@
 #include "data/synthetic.h"
 #include "obs/metrics.h"
 #include "serve/session_supervisor.h"
+#include "test_dir.h"
 
 namespace veritas {
 namespace {
-
-std::string UniqueDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
-  // Fresh per test: remove any stale session files from earlier runs.
-  const auto ids = ListSessionManifests(dir);
-  if (ids.ok()) {
-    for (const std::string& id : *ids) {
-      std::remove(SessionManifestPath(dir, id).c_str());
-      const std::string ckpt = SessionCheckpointPath(dir, id);
-      std::remove(ckpt.c_str());
-      std::remove((ckpt + ".1").c_str());
-      std::remove((ckpt + ".2").c_str());
-    }
-  }
-  return dir;
-}
 
 bool Exists(const std::string& path) {
   struct stat st;
@@ -64,7 +49,7 @@ class SupervisorTest : public ::testing::Test {
 
 TEST_F(SupervisorTest, SubmitBeforeStartIsFailedPrecondition) {
   SupervisorOptions options;
-  options.sessions_dir = UniqueDir("sup_prestart");
+  options.sessions_dir = TestPath("sup_prestart");
   SessionSupervisor supervisor(data_.db, data_.truth, options);
   const Status s = supervisor.Submit(QuickSpec("early"));
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
@@ -78,7 +63,7 @@ TEST_F(SupervisorTest, StartRequiresASessionsDir) {
 
 TEST_F(SupervisorTest, RejectsBadAndDuplicateIds) {
   SupervisorOptions options;
-  options.sessions_dir = UniqueDir("sup_ids");
+  options.sessions_dir = TestPath("sup_ids");
   options.max_concurrent_sessions = 1;
   SessionSupervisor supervisor(data_.db, data_.truth, options);
   ASSERT_TRUE(supervisor.Start().ok());
@@ -97,7 +82,7 @@ TEST_F(SupervisorTest, RejectsBadAndDuplicateIds) {
 
 TEST_F(SupervisorTest, ShedsPastTheQueueDepthWithATypedStatus) {
   SupervisorOptions options;
-  options.sessions_dir = UniqueDir("sup_shed");
+  options.sessions_dir = TestPath("sup_shed");
   options.max_concurrent_sessions = 1;
   options.max_queue_depth = 2;
   SessionSupervisor supervisor(data_.db, data_.truth, options);
@@ -127,7 +112,7 @@ TEST_F(SupervisorTest, ShedsPastTheQueueDepthWithATypedStatus) {
 }
 
 TEST_F(SupervisorTest, CompletedSessionCleansUpItsArtifacts) {
-  const std::string dir = UniqueDir("sup_cleanup");
+  const std::string dir = TestPath("sup_cleanup");
   SupervisorOptions options;
   options.sessions_dir = dir;
   options.keep_traces = true;
@@ -148,7 +133,7 @@ TEST_F(SupervisorTest, CompletedSessionCleansUpItsArtifacts) {
 }
 
 TEST_F(SupervisorTest, UnknownModelFailsTheSessionWithoutRecoveryLoop) {
-  const std::string dir = UniqueDir("sup_badmodel");
+  const std::string dir = TestPath("sup_badmodel");
   SupervisorOptions options;
   options.sessions_dir = dir;
   SessionSupervisor supervisor(data_.db, data_.truth, options);
@@ -174,7 +159,7 @@ TEST_F(SupervisorTest, EvictedSessionRecoversBitExactly) {
   base.max_validations = 8;
 
   // Reference: the same spec run uninterrupted (no budget).
-  const std::string ref_dir = UniqueDir("sup_bitexact_ref");
+  const std::string ref_dir = TestPath("sup_bitexact_ref");
   SessionReport reference;
   {
     SupervisorOptions options;
@@ -189,7 +174,7 @@ TEST_F(SupervisorTest, EvictedSessionRecoversBitExactly) {
   }
 
   // Interrupted: 3 rounds per admission, evicted + recovered until done.
-  const std::string dir = UniqueDir("sup_bitexact");
+  const std::string dir = TestPath("sup_bitexact");
   SupervisorOptions options;
   options.sessions_dir = dir;
   options.keep_traces = true;
@@ -244,7 +229,7 @@ TEST_F(SupervisorTest, EvictedSessionRecoversBitExactly) {
 // are visible in the obs counters.
 TEST_F(SupervisorTest, WatchdogCancelsAHungSession) {
   MetricsRegistry::Global().Reset();
-  const std::string dir = UniqueDir("sup_watchdog");
+  const std::string dir = TestPath("sup_watchdog");
   SupervisorOptions options;
   options.sessions_dir = dir;
   options.watchdog_poll = std::chrono::milliseconds(5);
@@ -271,7 +256,7 @@ TEST_F(SupervisorTest, WatchdogCancelsAHungSession) {
 }
 
 TEST_F(SupervisorTest, ManySessionsAcrossWorkersAllComplete) {
-  const std::string dir = UniqueDir("sup_fleet");
+  const std::string dir = TestPath("sup_fleet");
   SupervisorOptions options;
   options.sessions_dir = dir;
   options.max_concurrent_sessions = 4;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
+#include "test_dir.h"
 
 namespace veritas {
 namespace {
@@ -65,7 +66,7 @@ TEST(FormatCsvRowTest, RoundTripsThroughParse) {
 class CsvFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/veritas_csv_test.csv";
+    path_ = TestPath("veritas_csv_test.csv");
   }
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_;

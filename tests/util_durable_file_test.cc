@@ -1,5 +1,6 @@
 // Tests of the crash-safe write helper and the CRC-32C checksum it backs.
 #include "util/durable_file.h"
+#include "test_dir.h"
 
 #include <gtest/gtest.h>
 
@@ -10,10 +11,6 @@
 
 namespace veritas {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 std::string Slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -47,7 +44,7 @@ TEST(Crc32cTest, SingleBitFlipChangesTheChecksum) {
 }
 
 TEST(AtomicWriteFileTest, WritesNewFile) {
-  const std::string path = TempPath("durable_new.txt");
+  const std::string path = TestPath("durable_new.txt");
   std::remove(path.c_str());
   ASSERT_TRUE(AtomicWriteFile(path, "hello durable world\n").ok());
   EXPECT_EQ(Slurp(path), "hello durable world\n");
@@ -55,7 +52,7 @@ TEST(AtomicWriteFileTest, WritesNewFile) {
 }
 
 TEST(AtomicWriteFileTest, ReplacesExistingFileCompletely) {
-  const std::string path = TempPath("durable_replace.txt");
+  const std::string path = TestPath("durable_replace.txt");
   ASSERT_TRUE(AtomicWriteFile(path, "a much longer first version\n").ok());
   ASSERT_TRUE(AtomicWriteFile(path, "short\n").ok());
   EXPECT_EQ(Slurp(path), "short\n");  // No tail of the old contents.
@@ -64,7 +61,7 @@ TEST(AtomicWriteFileTest, ReplacesExistingFileCompletely) {
 
 TEST(AtomicWriteFileTest, LeavesNoTempLitterOnSuccess) {
   namespace fs = std::filesystem;
-  const std::string dir = TempPath("durable_clean_dir");
+  const std::string dir = TestPath("durable_clean_dir");
   fs::create_directory(dir);
   const std::string path = dir + "/artifact.json";
   ASSERT_TRUE(AtomicWriteFile(path, "{}\n").ok());
@@ -79,7 +76,7 @@ TEST(AtomicWriteFileTest, LeavesNoTempLitterOnSuccess) {
 
 TEST(AtomicWriteFileTest, FailsCleanlyWhenDirectoryDoesNotExist) {
   namespace fs = std::filesystem;
-  const std::string dir = TempPath("durable_no_such_dir");
+  const std::string dir = TestPath("durable_no_such_dir");
   fs::remove_all(dir);
   const Status status = AtomicWriteFile(dir + "/x.txt", "data");
   EXPECT_FALSE(status.ok());
@@ -89,7 +86,7 @@ TEST(AtomicWriteFileTest, FailsCleanlyWhenDirectoryDoesNotExist) {
 TEST(AtomicWriteFileTest, FailureDoesNotTouchThePreviousFile) {
   // Writing "through" an existing file as if it were a directory fails; the
   // original file must survive unmodified.
-  const std::string path = TempPath("durable_keep.txt");
+  const std::string path = TestPath("durable_keep.txt");
   ASSERT_TRUE(AtomicWriteFile(path, "precious\n").ok());
   EXPECT_FALSE(AtomicWriteFile(path + "/sub.txt", "clobber").ok());
   EXPECT_EQ(Slurp(path), "precious\n");
@@ -97,7 +94,7 @@ TEST(AtomicWriteFileTest, FailureDoesNotTouchThePreviousFile) {
 }
 
 TEST(AtomicWriteFileTest, UnsyncedModeStillWritesAtomically) {
-  const std::string path = TempPath("durable_nosync.txt");
+  const std::string path = TestPath("durable_nosync.txt");
   AtomicWriteOptions options;
   options.sync = false;
   ASSERT_TRUE(AtomicWriteFile(path, "fast path\n", options).ok());
@@ -106,7 +103,7 @@ TEST(AtomicWriteFileTest, UnsyncedModeStillWritesAtomically) {
 }
 
 TEST(AtomicWriteFileTest, HandlesLargeContents) {
-  const std::string path = TempPath("durable_large.bin");
+  const std::string path = TestPath("durable_large.bin");
   std::string contents;
   contents.reserve(1 << 20);
   for (int i = 0; contents.size() < (1u << 20); ++i) {

@@ -1,4 +1,4 @@
-// Tests of the persistent work-stealing ThreadPool (DESIGN.md §5f). Lives
+// Tests of the persistent shared-cursor ThreadPool (DESIGN.md §5f). Lives
 // in the concurrency binary so CI reruns it under ThreadSanitizer.
 #include "util/thread_pool.h"
 
@@ -55,21 +55,19 @@ TEST(ThreadPoolTest, ZeroLanesNormalizedToOne) {
   EXPECT_EQ(sum, 10u);
 }
 
-TEST(ThreadPoolTest, SingleChunkRunsInlineWithZeroSteals) {
+TEST(ThreadPoolTest, SingleChunkRunsInline) {
   ThreadPool pool(4);
   std::size_t calls = 0;
   // n <= chunk_size collapses to one chunk, which runs inline on the
-  // caller: one body call covering the full range, nothing to steal.
-  const std::uint64_t stolen =
-      pool.ParallelFor(5, 8, [&](std::size_t lane, std::size_t begin,
-                                 std::size_t end) {
-        EXPECT_EQ(lane, 0u);
-        EXPECT_EQ(begin, 0u);
-        EXPECT_EQ(end, 5u);
-        ++calls;
-      });
+  // caller: one body call covering the full range.
+  pool.ParallelFor(5, 8, [&](std::size_t lane, std::size_t begin,
+                             std::size_t end) {
+    EXPECT_EQ(lane, 0u);
+    EXPECT_EQ(begin, 0u);
+    EXPECT_EQ(end, 5u);
+    ++calls;
+  });
   EXPECT_EQ(calls, 1u);
-  EXPECT_EQ(stolen, 0u);
 }
 
 TEST(ThreadPoolTest, DisjointWritesAreVisibleAfterReturn) {
@@ -100,21 +98,36 @@ TEST(ThreadPoolTest, ReusableAcrossManyRounds) {
   }
 }
 
-TEST(ThreadPoolTest, IdleLanesStealFromABlockedOwner) {
+TEST(ThreadPoolTest, StalledLaneDoesNotHoldBackTheOthers) {
   ThreadPool pool(4);
-  // Lane 0 (the caller) owns chunk ordinals {0, 4}; stalling it inside its
-  // first chunk forces a worker to take ordinal 4 off its deque's back.
-  std::atomic<std::uint64_t> stolen_total{0};
-  const std::uint64_t stolen =
-      pool.ParallelFor(8, 1, [&](std::size_t lane, std::size_t begin,
-                                 std::size_t) {
-        if (lane == 0 && begin == 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        }
-      });
-  stolen_total.fetch_add(stolen);
-  EXPECT_GT(stolen_total.load(), 0u);
-  EXPECT_GE(pool.steals(), stolen_total.load());
+  // Whichever lane claims chunk 0 stalls in it until every other chunk has
+  // finished. The shared cursor lets the remaining lanes drain chunks 1..7
+  // meanwhile; a scheduler that tied chunks to the stalled lane would leave
+  // some undone and the wait below would time out.
+  constexpr std::size_t kChunks = 8;
+  std::atomic<std::size_t> others_done{0};
+  std::vector<std::size_t> lane_of(kChunks, 0);  // Disjoint slots.
+  std::atomic<bool> drained_during_stall{false};
+  pool.ParallelFor(kChunks, 1, [&](std::size_t lane, std::size_t begin,
+                                   std::size_t) {
+    lane_of[begin] = lane;
+    if (begin == 0) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (others_done.load() < kChunks - 1 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      drained_during_stall.store(others_done.load() == kChunks - 1);
+      return;
+    }
+    others_done.fetch_add(1);
+  });
+  EXPECT_TRUE(drained_during_stall.load());
+  EXPECT_EQ(others_done.load(), kChunks - 1);
+  for (std::size_t c = 1; c < kChunks; ++c) {
+    EXPECT_NE(lane_of[c], lane_of[0]) << "chunk " << c;
+  }
 }
 
 }  // namespace
