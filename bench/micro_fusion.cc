@@ -1,10 +1,10 @@
 // google-benchmark micro-benchmarks for the fusion substrate: iteration
-// cost of each model, warm-start benefit, incremental (delta) re-fusion,
-// and Eq. (1) primitives.
+// cost of each model, warm-start benefit, the incremental (delta) MEU
+// lookahead, and Eq. (1) primitives.
 //
 // `--json <path>` skips the google-benchmark run and instead writes the
-// machine-readable fusion baseline (full vs warm vs delta ns/op, MEU
-// entropy-pin latency, dataset sizes) via exp/bench_json.h.
+// machine-readable fusion baseline (full vs warm ns/op, MEU entropy-pin
+// latency, dataset sizes) via exp/bench_json.h.
 #include <benchmark/benchmark.h>
 
 #include <iostream>
@@ -54,22 +54,6 @@ void BM_AccuFuseWarmStart(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * data.db.num_items());
 }
 BENCHMARK(BM_AccuFuseWarmStart)->Arg(200)->Arg(1000)->Arg(4000);
-
-void BM_AccuDeltaFuse(benchmark::State& state) {
-  const SyntheticDataset data = MakeDataset(state.range(0));
-  AccuFusion model;
-  FusionOptions opts;
-  const FusionResult warm = model.Fuse(data.db, opts);
-  const auto engine = DeltaFusionEngine::Create(data.db, model, opts);
-  const ItemId pin = data.db.ConflictingItems().front();
-  PriorSet priors;
-  priors.SetExact(data.db, pin, 0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine->FuseWithPins(warm, priors, {pin}));
-  }
-  state.SetItemsProcessed(state.iterations() * data.db.num_items());
-}
-BENCHMARK(BM_AccuDeltaFuse)->Arg(200)->Arg(1000)->Arg(4000);
 
 // The MEU inner loop: expected entropy of one hypothetical pin, computed
 // from a shared base state with O(frontier) scratch.
@@ -161,8 +145,6 @@ int WriteJsonBaseline(const std::string& path) {
         SecondsPerOp([&] { model.Fuse(data.db, priors, opts); });
     const double warm_s =
         SecondsPerOp([&] { model.Fuse(data.db, priors, opts, &warm); });
-    const double delta_s =
-        SecondsPerOp([&] { engine->FuseWithPins(warm, priors, {pin}); });
 
     const DeltaFusionEngine::BaseState base = engine->PrepareBase(warm);
     DeltaFusionEngine::Workspace ws;
@@ -181,9 +163,7 @@ int WriteJsonBaseline(const std::string& path) {
         .Set("observations", data.db.num_observations())
         .Set("full_ns_per_op", full_s * 1e9)
         .Set("warm_ns_per_op", warm_s * 1e9)
-        .Set("delta_ns_per_op", delta_s * 1e9)
-        .Set("entropy_pin_ns_per_op", pin_s * 1e9)
-        .Set("delta_vs_warm_speedup", warm_s / delta_s);
+        .Set("entropy_pin_ns_per_op", pin_s * 1e9);
   }
   // Upsert by record name: the file is shared with the other bench binaries,
   // each of which owns its own record names.

@@ -25,7 +25,6 @@
 #include "exp/report.h"
 #include "exp/scale.h"
 #include "fusion/accu.h"
-#include "fusion/delta_fusion.h"
 #include "obs/metrics.h"
 #include "obs/obs_flags.h"
 #include "util/math.h"
@@ -129,7 +128,7 @@ class ReferenceAccuFusion : public FusionModel {
 
 // Mean select-time over a few validations (metrics recording off so only
 // strategy time is measured). `use_delta` toggles the incremental engine
-// for the MEU lookaheads and post-feedback re-fusions.
+// for the MEU lookaheads.
 double MeanSelectSeconds(const NamedDataset& dataset, const FusionModel& model,
                          const std::string& strategy_name, std::size_t actions,
                          bool use_delta) {
@@ -222,8 +221,8 @@ void SetHistStats(BenchJsonRecord& record, const std::string& prefix,
       .Set(prefix + "_max", h->max);
 }
 
-// Largest |p_delta - p_full| over all claims between a delta re-fusion and
-// the warm full re-fusion it replaces (both after the same pin).
+// Largest |p_a - p_b| over all claims between two re-fusions after the
+// same pin.
 double MaxProbDiff(const Database& db, const FusionResult& a,
                    const FusionResult& b) {
   double max_diff = 0.0;
@@ -236,11 +235,12 @@ double MaxProbDiff(const Database& db, const FusionResult& a,
 }
 
 // Machine-readable baseline: per-dataset fusion timings (reference vs full
-// vs warm vs delta), exact-MEU step latency on the pre-optimization
-// reference path, on the current full path, and with the delta engine, the
-// speedups, and the probability agreement between the paths. "baseline"
-// fields always mean the ReferenceAccuFusion pointer-chasing path that the
-// CompiledDatabase + DeltaFusion work replaced.
+// vs warm), exact-MEU step latency on the pre-optimization reference path,
+// on the current full path, and with the delta lookahead engine, the
+// speedups, and the probability agreement between the CSR warm re-fusion
+// and the reference. "baseline" fields always mean the ReferenceAccuFusion
+// pointer-chasing path that the CompiledDatabase + DeltaFusion work
+// replaced.
 int WriteBenchJson(const std::string& path, ScaleMode mode) {
   BenchJsonFile json("veritas-bench-fusion-v1");
   json.SetMeta("scale", ScaleModeName(mode));
@@ -258,7 +258,6 @@ int WriteBenchJson(const std::string& path, ScaleMode mode) {
     ReferenceAccuFusion reference;
     FusionOptions opts;
     const FusionResult base = model.Fuse(db, PriorSet(), opts);
-    const auto engine = DeltaFusionEngine::Create(db, model, opts);
     const ItemId pin = db.ConflictingItems().front();
     PriorSet priors;
     priors.SetExact(db, pin, 0);
@@ -269,13 +268,8 @@ int WriteBenchJson(const std::string& path, ScaleMode mode) {
         SecondsPerOp([&] { model.Fuse(db, priors, opts); });
     const double warm_s =
         SecondsPerOp([&] { model.Fuse(db, priors, opts, &base); });
-    const double delta_s =
-        SecondsPerOp([&] { engine->FuseWithPins(base, priors, {pin}); });
-    const double prob_diff =
-        MaxProbDiff(db, engine->FuseWithPins(base, priors, {pin}),
-                    model.Fuse(db, priors, opts, &base));
     const double prob_diff_vs_baseline =
-        MaxProbDiff(db, engine->FuseWithPins(base, priors, {pin}),
+        MaxProbDiff(db, model.Fuse(db, priors, opts, &base),
                     reference.Fuse(db, priors, opts, &base));
 
     const std::size_t actions = 3;
@@ -301,8 +295,6 @@ int WriteBenchJson(const std::string& path, ScaleMode mode) {
         .Set("fusion_baseline_warm_ns_per_op", baseline_s * 1e9)
         .Set("fusion_full_ns_per_op", full_s * 1e9)
         .Set("fusion_warm_ns_per_op", warm_s * 1e9)
-        .Set("fusion_delta_ns_per_op", delta_s * 1e9)
-        .Set("max_abs_prob_diff", prob_diff)
         .Set("max_abs_prob_diff_vs_baseline", prob_diff_vs_baseline)
         .Set("fusion_tolerance", opts.tolerance)
         .Set("meu_step_baseline_seconds", meu_baseline_s)
@@ -330,10 +322,6 @@ int WriteBenchJson(const std::string& path, ScaleMode mode) {
              static_cast<std::size_t>(phases.Value("strategy.meu.lookaheads")))
         .Set("delta_lookahead_pins",
              static_cast<std::size_t>(phases.Value("delta.lookahead_pins")))
-        .Set("delta_fuse_with_pins",
-             static_cast<std::size_t>(phases.Value("delta.fuse_with_pins")))
-        .Set("delta_fallbacks",
-             static_cast<std::size_t>(phases.Value("delta.fallbacks")))
         .Set("oracle_retry_attempts",
              static_cast<std::size_t>(phases.Value("oracle.retry.attempts")))
         .Set("oracle_retry_retries",

@@ -258,7 +258,7 @@ std::vector<double> MeuStrategy::ScanCandidateGains(
         expected += pk * (base->total_entropy - base->item_entropy[item]);
       } else {
         expected += pk * ctx.delta->EntropyAfterExactPin(
-                             *base, scratch.ws, *ctx.priors, item, k, nullptr,
+                             *base, scratch.ws, *ctx.priors, item, k,
                              scope_ptr);
       }
       mass += pk;

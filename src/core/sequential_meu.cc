@@ -61,10 +61,8 @@ double SequentialMeuStrategy::TwoStepExpectedEntropy(
     PriorSet lookahead = *ctx.priors;
     lookahead.SetExact(db, item, k);
     const FusionResult state =
-        ctx.delta != nullptr && ctx.warm_start_lookahead
-            ? ctx.delta->FuseWithPins(*ctx.fusion, lookahead, {item})
-            : ctx.model->Fuse(db, lookahead, *ctx.fusion_opts,
-                              ctx.warm_start_lookahead ? ctx.fusion : nullptr);
+        ctx.model->Fuse(db, lookahead, *ctx.fusion_opts,
+                        ctx.warm_start_lookahead ? ctx.fusion : nullptr);
     expected += pk * BestFollowUpEntropy(ctx, lookahead, state, inner_beam);
   }
   return expected;

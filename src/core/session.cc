@@ -209,11 +209,10 @@ Result<SessionTrace> FeedbackSession::Run() {
     return HardStopRequested(options_.cancel);
   };
 
-  // Incremental re-fusion engine, shared by the strategy lookaheads and the
-  // post-feedback re-fuse. Null when the model has no local-update structure
-  // (AccuCopy, LCA, ...) or when delta fusion is disabled; cold-started
-  // sessions also stay on the full path (the base state the engine
-  // propagates from must be the converged warm state).
+  // Incremental engine for the strategies' lookaheads. Null when the model
+  // has no local-update structure (AccuCopy, LCA, ...) or when delta fusion
+  // is disabled; cold-started sessions also stay on the full path (the base
+  // state the engine propagates from must be the converged warm state).
   const std::unique_ptr<DeltaFusionEngine> delta =
       options_.warm_start && options_.fusion.use_delta_fusion
           ? (streaming.active()
@@ -221,9 +220,10 @@ Result<SessionTrace> FeedbackSession::Run() {
                                              options_.fusion)
                  : DeltaFusionEngine::Create(db_, model_, options_.fusion))
           : nullptr;
-  // FuseWithPins requires the base to reflect every prior except the new
-  // pins. A warm-start rollback (non-finite or rejected re-fusion) breaks
-  // that invariant until a full re-fusion lands again.
+  // The lookaheads propagate from `fusion` as a state converged under every
+  // prior. A warm-start rollback (non-finite or rejected re-fusion) breaks
+  // that invariant until a re-fusion lands again; until then the strategies
+  // re-fuse fully.
   bool delta_base_valid = true;
 
   std::unordered_set<ItemId> skipped_set;
@@ -258,6 +258,15 @@ Result<SessionTrace> FeedbackSession::Run() {
     }
     // NotFound: fresh start with the same flags.
   }
+
+  // Every re-fusion — after a validation round and after a streaming tick —
+  // is this one call. A warm result from before an append is a legal warm
+  // start: appended sources start at the initial accuracy
+  // (WarmStartAccuracies).
+  const auto refuse = [&] {
+    return model_.Fuse(db_, trace.priors, options_.fusion,
+                       options_.warm_start ? &fusion : nullptr);
+  };
 
   if (!resumed) {
     fusion = model_.Fuse(db_, trace.priors, options_.fusion);
@@ -360,25 +369,12 @@ Result<SessionTrace> FeedbackSession::Run() {
     streaming.stream->TakeDirty(&dirty_items, &dirty_sources);
     if (!dirty_items.empty() || !dirty_sources.empty()) {
       const std::vector<double> acc_before = fusion.accuracies();
-      bool incremental = false;
-      if (delta != nullptr && delta_base_valid) {
-        auto next = delta->FuseWithAppends(fusion, trace.priors, dirty_items,
-                                           dirty_sources);
-        if (next.ok() && next.value().AllFinite()) {
-          fusion = std::move(next).value();
-          incremental = true;
-        }
+      FusionResult next = refuse();
+      if (!next.AllFinite()) {
+        return Status::Internal(
+            "streaming re-fusion produced non-finite values");
       }
-      if (!incremental) {
-        // Cold full re-fusion: the shapes changed under the last result, so
-        // a warm seed would be stale-shaped.
-        FusionResult next = model_.Fuse(db_, trace.priors, options_.fusion);
-        if (!next.AllFinite()) {
-          return Status::Internal(
-              "streaming re-fusion produced non-finite values");
-        }
-        fusion = std::move(next);
-      }
+      fusion = std::move(next);
       delta_base_valid = true;
       // Accuracy drift: the L-infinity move of the shared accuracy prefix —
       // how hard this batch shook the source model.
@@ -541,12 +537,7 @@ Result<SessionTrace> FeedbackSession::Run() {
     if (!step.items.empty()) {
       VERITAS_SPAN("session.refuse");
       Timer fuse_timer;
-      FusionResult next =
-          delta != nullptr && delta_base_valid
-              ? delta->FuseWithPins(fusion, trace.priors, step.items)
-          : options_.warm_start
-              ? model_.Fuse(db_, trace.priors, options_.fusion, &fusion)
-              : model_.Fuse(db_, trace.priors, options_.fusion);
+      FusionResult next = refuse();
       step.fuse_seconds = fuse_timer.ElapsedSeconds();
       fuse_hist->Observe(step.fuse_seconds);
 

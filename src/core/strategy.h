@@ -44,7 +44,7 @@ struct StrategyContext {
   /// current accuracies instead of the initial ones — much faster, same
   /// fixed point. The paper's worked example (Tables 4-6) cold-starts.
   bool warm_start_lookahead = true;
-  /// Incremental re-fusion engine for `model` over `db`, or null. When set
+  /// Incremental lookahead engine for `model` over `db`, or null. When set
   /// (and warm_start_lookahead is true), MEU-family strategies propagate each
   /// hypothetical pin over a dirty frontier instead of re-fusing the whole
   /// database. The session owns the engine and keeps it in sync with `db`.

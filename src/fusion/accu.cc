@@ -96,10 +96,7 @@ FusionResult AccuFusion::Fuse(const Database& db, const PriorSet& priors,
 
   const CompiledDatabase c(db);
   std::vector<double> accuracies =
-      warm != nullptr ? warm->accuracies()
-                      : std::vector<double>(c.num_sources(),
-                                            opts.initial_accuracy);
-  for (double& a : accuracies) a = ClampAccuracy(a);
+      WarmStartAccuracies(warm, c.num_sources(), opts.initial_accuracy);
 
   std::vector<double> probs(c.num_claims(), 0.0);
   const std::vector<char> fixed = MarkFixedItems(c, priors, &probs);

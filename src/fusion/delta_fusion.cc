@@ -9,7 +9,6 @@
 #include "fusion/voting.h"
 #include "model/streaming_database.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/cancellation.h"
 #include "util/math.h"
 
@@ -21,6 +20,13 @@ namespace {
 // even when one is rebuilt at the same address.
 std::atomic<std::uint64_t> g_base_state_counter{0};
 
+// A source re-dirties the items it votes on only when its accuracy moved by
+// at least this fraction of the fusion tolerance. Below that the change is
+// absorbed: the absorbed drift, roughly eps / (1 - rho) per score term (rho
+// being the model's contraction rate), stays well inside the tolerance the
+// full model itself stops at.
+constexpr double kPropagationEpsilonFactor = 1e-3;
+
 Counter* StaleViewCounter() {
   static Counter* stale =
       MetricsRegistry::Global().GetCounter("delta.stale_view_violations");
@@ -29,15 +35,8 @@ Counter* StaleViewCounter() {
 
 }  // namespace
 
-bool DeltaFusionEngine::Supports(const FusionModel& model) {
-  return dynamic_cast<const AccuFusion*>(&model) != nullptr ||
-         dynamic_cast<const VotingFusion*>(&model) != nullptr ||
-         dynamic_cast<const TruthFinderFusion*>(&model) != nullptr;
-}
-
-std::unique_ptr<DeltaFusionEngine> DeltaFusionEngine::Create(
-    const Database& db, const FusionModel& model, FusionOptions fusion_opts,
-    DeltaFusionOptions delta_opts) {
+std::unique_ptr<DeltaFusionEngine> DeltaFusionEngine::ForModel(
+    const FusionModel& model, FusionOptions fusion_opts) {
   Kind kind;
   double gamma = 0.0;
   if (dynamic_cast<const AccuFusion*>(&model) != nullptr) {
@@ -51,49 +50,26 @@ std::unique_ptr<DeltaFusionEngine> DeltaFusionEngine::Create(
   } else {
     return nullptr;
   }
-  return std::unique_ptr<DeltaFusionEngine>(new DeltaFusionEngine(
-      db, model, kind, gamma, fusion_opts, delta_opts,
-      /*external_view=*/nullptr));
+  return std::unique_ptr<DeltaFusionEngine>(
+      new DeltaFusionEngine(kind, gamma, fusion_opts));
+}
+
+std::unique_ptr<DeltaFusionEngine> DeltaFusionEngine::Create(
+    const Database& db, const FusionModel& model, FusionOptions fusion_opts) {
+  std::unique_ptr<DeltaFusionEngine> engine = ForModel(model, fusion_opts);
+  if (engine != nullptr) {
+    engine->owned_compiled_ = std::make_unique<CompiledDatabase>(db);
+    engine->compiled_ = engine->owned_compiled_.get();
+  }
+  return engine;
 }
 
 std::unique_ptr<DeltaFusionEngine> DeltaFusionEngine::Create(
     const StreamingDatabase& stream, const FusionModel& model,
-    FusionOptions fusion_opts, DeltaFusionOptions delta_opts) {
-  Kind kind;
-  double gamma = 0.0;
-  if (dynamic_cast<const AccuFusion*>(&model) != nullptr) {
-    kind = Kind::kAccu;
-  } else if (dynamic_cast<const VotingFusion*>(&model) != nullptr) {
-    kind = Kind::kVoting;
-  } else if (const auto* tf =
-                 dynamic_cast<const TruthFinderFusion*>(&model)) {
-    kind = Kind::kTruthFinder;
-    gamma = tf->gamma();
-  } else {
-    return nullptr;
-  }
-  return std::unique_ptr<DeltaFusionEngine>(new DeltaFusionEngine(
-      stream.db(), model, kind, gamma, fusion_opts, delta_opts,
-      &stream.compiled()));
-}
-
-DeltaFusionEngine::DeltaFusionEngine(const Database& db,
-                                     const FusionModel& model, Kind kind,
-                                     double gamma, FusionOptions fusion_opts,
-                                     DeltaFusionOptions delta_opts,
-                                     const CompiledDatabase* external_view)
-    : db_(db),
-      model_(model),
-      kind_(kind),
-      gamma_(gamma),
-      fusion_opts_(fusion_opts),
-      delta_opts_(delta_opts) {
-  if (external_view != nullptr) {
-    compiled_ = external_view;
-  } else {
-    owned_compiled_ = std::make_unique<CompiledDatabase>(db);
-    compiled_ = owned_compiled_.get();
-  }
+    FusionOptions fusion_opts) {
+  std::unique_ptr<DeltaFusionEngine> engine = ForModel(model, fusion_opts);
+  if (engine != nullptr) engine->compiled_ = &stream.compiled();
+  return engine;
 }
 
 double DeltaFusionEngine::ScoreTerm(double accuracy) const {
@@ -113,7 +89,6 @@ DeltaFusionEngine::BaseState DeltaFusionEngine::PrepareBase(
     const FusionResult& base) const {
   const CompiledDatabase& c = *compiled_;
   BaseState s;
-  s.origin = &base;
   s.id = ++g_base_state_counter;
   s.epoch = c.epoch();
   s.probs.resize(c.num_claims());
@@ -154,17 +129,14 @@ DeltaFusionEngine::BaseState DeltaFusionEngine::PrepareBase(
 void DeltaFusionEngine::SyncWorkspace(const BaseState& base,
                                       Workspace& ws) const {
   const CompiledDatabase& c = *compiled_;
-  ws.claims_ = c.num_claims();
-  ws.sources_ = c.num_sources();
-  ws.items_ = c.num_items();
   ws.prob_ = base.probs;
   ws.acc_ = base.accuracies;
   ws.sum_ = base.source_sums;
   ws.term_ = base.terms;
   ws.item_entropy_ = base.item_entropy;
-  ws.item_touch_tick_.assign(ws.items_, 0);
-  ws.source_touch_tick_.assign(ws.sources_, 0);
-  ws.source_enroll_tick_.assign(ws.sources_, 0);
+  ws.item_touch_tick_.assign(c.num_items(), 0);
+  ws.source_touch_tick_.assign(c.num_sources(), 0);
+  ws.source_enroll_tick_.assign(c.num_sources(), 0);
   ws.ticket_ = 0;
   ws.synced_base_ = &base;
   ws.synced_id_ = base.id;
@@ -218,6 +190,9 @@ void DeltaFusionEngine::RecomputeItems(Workspace& ws) const {
   const CompiledDatabase& c = *compiled_;
   const std::size_t m = ws.frontier_.size();
   if (m == 0) return;
+  // Without accuracy coupling no source enrolls an item, so a Voting
+  // lookahead never has a frontier; only Accu and TruthFinder reach here.
+  assert(kind_ != Kind::kVoting);
   const bool view_flat = c.flat();
   const std::vector<SourceId>& claim_sources = c.claim_sources();
 
@@ -273,7 +248,7 @@ void DeltaFusionEngine::RecomputeItems(Workspace& ws) const {
         }
       }
     }
-  } else if (kind_ == Kind::kTruthFinder) {
+  } else {  // kTruthFinder
     if (view_flat) {
       for (std::size_t f = 0; f < m; ++f) {
         const ItemId item = ws.frontier_[f];
@@ -301,19 +276,6 @@ void DeltaFusionEngine::RecomputeItems(Workspace& ws) const {
           c.ForEachClaimSource(g, [&](SourceId j) { sigma += term[j]; });
           out[k] = sigma;
         }
-      }
-    }
-  } else {  // kVoting: scores are live per-claim vote counts. Voting items
-            // never enter the frontier through source enrollment (no
-            // accuracy coupling), but streaming appends do dirty them, so
-            // this branch recomputes exactly VotingFusion's share update.
-    for (std::size_t f = 0; f < m; ++f) {
-      const ItemId item = ws.frontier_[f];
-      const std::size_t n = c.item_num_claims(item);
-      double* out = scores + ws.frontier_offsets_[f];
-      for (std::size_t k = 0; k < n; ++k) {
-        out[k] = static_cast<double>(
-            c.claim_num_sources(c.global_claim_id(item, k)));
       }
     }
   }
@@ -368,7 +330,7 @@ void DeltaFusionEngine::RecomputeItems(Workspace& ws) const {
           h += pk * (lse - s[k]);
         }
       }
-    } else if (kind_ == Kind::kTruthFinder) {
+    } else {  // kTruthFinder
       double total = 0.0;
       for (std::size_t k = 0; k < n; ++k) {
         const double conf = 1.0 / (1.0 + std::exp(-gamma_ * s[k]));
@@ -377,14 +339,6 @@ void DeltaFusionEngine::RecomputeItems(Workspace& ws) const {
       }
       for (std::size_t k = 0; k < n; ++k) {
         p[k] /= total;
-        h += EntropyTerm(p[k]);
-      }
-    } else {  // kVoting: normalized vote counts (VotingFusion::VoteShares).
-      double total = 0.0;
-      for (std::size_t k = 0; k < n; ++k) total += s[k];
-      const double inv = total > 0.0 ? 1.0 / total : 0.0;
-      for (std::size_t k = 0; k < n; ++k) {
-        p[k] = s[k] * inv;
         h += EntropyTerm(p[k]);
       }
     }
@@ -422,16 +376,11 @@ void DeltaFusionEngine::RecomputeItems(Workspace& ws) const {
   }
 }
 
-bool DeltaFusionEngine::Propagate(Workspace& ws, const PriorSet& priors,
-                                  ItemId extra_pin, bool enforce_coverage,
-                                  bool* converged, std::size_t* iterations,
-                                  DeltaFusionStats* stats,
+void DeltaFusionEngine::Propagate(Workspace& ws, const PriorSet& priors,
+                                  ItemId extra_pin,
                                   const ItemScope* scope) const {
   const CompiledDatabase& c = *compiled_;
-  const double eps =
-      delta_opts_.propagation_epsilon_factor * fusion_opts_.tolerance;
-  const std::size_t max_touched = static_cast<std::size_t>(
-      delta_opts_.max_frontier_fraction * static_cast<double>(c.num_items()));
+  const double eps = kPropagationEpsilonFactor * fusion_opts_.tolerance;
 
   // Each round is one accuracy + probability alternation of the full model,
   // restricted to the active subgraph: every source whose vote-sum ever
@@ -439,11 +388,7 @@ bool DeltaFusionEngine::Propagate(Workspace& ws, const PriorSet& priors,
   // grows (a source whose accuracy moved by >= eps enrolls all its items),
   // so the rounds converge like a full warm-started Fuse instead of
   // trickling influence one hop at a time.
-  bool conv = false;
-  std::size_t iter = 0;
-  while (iter < fusion_opts_.max_iterations) {
-    ++iter;
-
+  for (std::size_t iter = 0; iter < fusion_opts_.max_iterations; ++iter) {
     // Hard cancel: abandon the relaxation mid-flight. The caller's touched
     // lists stay valid (EntropyAfterExactPin still restores them), and every
     // caller of a non-converged lookahead is itself on an abandon path.
@@ -502,121 +447,17 @@ bool DeltaFusionEngine::Propagate(Workspace& ws, const PriorSet& priors,
       }
     }
 
-    // Coverage gate: when the update is global, materializing a delta result
-    // has no edge over a full pass — bail out before paying for both.
-    if (enforce_coverage && ws.touched_items_.size() > max_touched) {
-      if (stats != nullptr) {
-        stats->iterations = iter;
-        stats->touched_items = ws.touched_items_.size();
-        if (ws.frontier_.size() > stats->peak_frontier) {
-          stats->peak_frontier = ws.frontier_.size();
-        }
-      }
-      return false;
-    }
-    if (stats != nullptr && ws.frontier_.size() > stats->peak_frontier) {
-      stats->peak_frontier = ws.frontier_.size();
-    }
-
     // Probability pass over the active items (the converged-base analogue of
     // the full model's probability update, including its trailing pass:
     // probabilities are refreshed once more on the round that converges).
     RecomputeItems(ws);
-    if (max_delta < fusion_opts_.tolerance) {
-      conv = true;
-      break;
-    }
+    if (max_delta < fusion_opts_.tolerance) break;
   }
-
-  *converged = conv;
-  *iterations = iter;
-  if (stats != nullptr) {
-    stats->iterations = iter;
-    stats->touched_items = ws.touched_items_.size();
-  }
-  return true;
-}
-
-FusionResult DeltaFusionEngine::FuseWithPins(const FusionResult& base,
-                                             const PriorSet& priors,
-                                             const std::vector<ItemId>& items,
-                                             DeltaFusionStats* stats) const {
-  VERITAS_SPAN("delta.fuse_with_pins");
-  static Counter* calls =
-      MetricsRegistry::Global().GetCounter("delta.fuse_with_pins");
-  static Counter* fallbacks =
-      MetricsRegistry::Global().GetCounter("delta.fallbacks");
-  static Histogram* iterations_hist = MetricsRegistry::Global().GetHistogram(
-      "delta.iterations", MetricsRegistry::CountEdges());
-  static Histogram* touched_hist = MetricsRegistry::Global().GetHistogram(
-      "delta.touched_items", MetricsRegistry::CountEdges());
-  static Histogram* frontier_hist = MetricsRegistry::Global().GetHistogram(
-      "delta.peak_frontier", MetricsRegistry::CountEdges());
-  calls->Add(1);
-
-  // Shape guard: a base from before an ingest batch no longer matches the
-  // view — flattening it positionally would scatter probabilities into the
-  // wrong claims. Count the violation and re-fuse cold (the result is
-  // correct, just not incremental). FuseWithAppends is the intended path for
-  // folding appends into a stale base.
-  const CompiledDatabase& c = *compiled_;
-  if (base.num_items() != c.num_items() ||
-      base.accuracies().size() != c.num_sources()) {
-    assert(false && "FuseWithPins called with a stale-shaped base");
-    StaleViewCounter()->Add(1);
-    if (stats != nullptr) stats->fell_back = true;
-    fallbacks->Add(1);
-    return model_.Fuse(db_, priors, fusion_opts_);
-  }
-
-  const BaseState state = PrepareBase(base);
-  Workspace ws;
-  SyncWorkspace(state, ws);
-  ++ws.ticket_;
-  for (ItemId item : items) {
-    const std::vector<double>& pin = priors.Get(item);
-    ApplyPin(ws, item, pin.data(), pin.size());
-  }
-  DeltaFusionStats local_stats;
-  DeltaFusionStats* out_stats = stats != nullptr ? stats : &local_stats;
-  bool conv = false;
-  std::size_t iters = 0;
-  if (!Propagate(ws, priors, kInvalidItem, /*enforce_coverage=*/true, &conv,
-                 &iters, out_stats)) {
-    out_stats->fell_back = true;
-    fallbacks->Add(1);
-    iterations_hist->Observe(static_cast<double>(out_stats->iterations));
-    touched_hist->Observe(static_cast<double>(out_stats->touched_items));
-    frontier_hist->Observe(static_cast<double>(out_stats->peak_frontier));
-    return model_.Fuse(db_, priors, fusion_opts_, &base);
-  }
-  iterations_hist->Observe(static_cast<double>(out_stats->iterations));
-  touched_hist->Observe(static_cast<double>(out_stats->touched_items));
-  frontier_hist->Observe(static_cast<double>(out_stats->peak_frontier));
-  FusionResult out = base;
-  for (ItemId i : ws.touched_items_) {
-    std::vector<double>* probs = out.mutable_item_probs(i);
-    if (c.item_claims_flat(i)) {
-      const std::uint32_t g = c.claim_offset(i);
-      for (std::size_t k = 0; k < probs->size(); ++k) {
-        (*probs)[k] = ws.prob_[g + k];
-      }
-    } else {
-      for (std::size_t k = 0; k < probs->size(); ++k) {
-        (*probs)[k] = ws.prob_[c.global_claim_id(i, k)];
-      }
-    }
-  }
-  std::vector<double>* accuracies = out.mutable_accuracies();
-  for (SourceId j : ws.touched_sources_) (*accuracies)[j] = ws.acc_[j];
-  out.set_iterations(iters);
-  out.set_converged(conv);
-  return out;
 }
 
 double DeltaFusionEngine::EntropyAfterExactPin(
     const BaseState& base, Workspace& ws, const PriorSet& priors, ItemId item,
-    ClaimIndex claim, DeltaFusionStats* stats, const ItemScope* scope) const {
+    ClaimIndex claim, const ItemScope* scope) const {
   // The MEU inner loop: instrumentation here is a single relaxed atomic add
   // (no span, no histogram) so thousands of lookahead pins per select stay
   // cheap with metrics always on.
@@ -650,13 +491,7 @@ double DeltaFusionEngine::EntropyAfterExactPin(
   // ApplyPin reads deltas into scores_, so new_probs_ survives the call.
   ApplyPin(ws, item, ws.new_probs_.data(), n);
 
-  // No coverage gate on the lookahead path: even when the pin's influence is
-  // global, relaxing on the workspace arrays still skips the view rebuild,
-  // allocations, and result materialization a fallback Fuse would pay for.
-  bool conv = false;
-  std::size_t iters = 0;
-  Propagate(ws, priors, item, /*enforce_coverage=*/false, &conv, &iters,
-            stats, scope);
+  Propagate(ws, priors, item, scope);
 
   double total = base.total_entropy;
   for (ItemId i : ws.touched_items_) {
@@ -685,134 +520,6 @@ double DeltaFusionEngine::EntropyAfterExactPin(
     ws.sum_[j] = base.source_sums[j];
   }
   return total;
-}
-
-void DeltaFusionEngine::SeedDirty(Workspace& ws, const PriorSet& priors,
-                                  const std::vector<ItemId>& dirty_items,
-                                  const std::vector<SourceId>& dirty_sources) const {
-  const CompiledDatabase& c = *compiled_;
-  for (ItemId i : dirty_items) {
-    if (ws.item_touch_tick_[i] == ws.ticket_) continue;
-    ws.item_touch_tick_[i] = ws.ticket_;
-    ws.touched_items_.push_back(i);
-    // Pinned and single-claim items are fixed; everything else must be
-    // recomputed against the new vote structure.
-    if (c.item_num_claims(i) > 1 && !priors.Has(i)) {
-      ws.frontier_.push_back(i);
-    }
-  }
-  for (SourceId j : dirty_sources) {
-    if (ws.source_touch_tick_[j] == ws.ticket_) continue;
-    ws.source_touch_tick_[j] = ws.ticket_;
-    ws.touched_sources_.push_back(j);
-  }
-}
-
-Result<FusionResult> DeltaFusionEngine::FuseWithAppends(
-    const FusionResult& base, const PriorSet& priors,
-    const std::vector<ItemId>& dirty_items,
-    const std::vector<SourceId>& dirty_sources,
-    DeltaFusionStats* stats) const {
-  VERITAS_SPAN("delta.fuse_with_appends");
-  static Counter* calls =
-      MetricsRegistry::Global().GetCounter("delta.fuse_with_appends");
-  static Counter* fallbacks =
-      MetricsRegistry::Global().GetCounter("delta.fallbacks");
-  calls->Add(1);
-
-  const CompiledDatabase& c = *compiled_;
-  if (base.num_items() > c.num_items() ||
-      base.accuracies().size() > c.num_sources()) {
-    return Status::InvalidArgument(
-        "FuseWithAppends: base result is from a newer shape than the view");
-  }
-
-  // Extend the stale base to the current shape: existing probabilities and
-  // accuracies carry over verbatim, appended claims start at probability 0
-  // (no support yet under the old state), appended sources start at the
-  // model's initial accuracy, and pinned items take their (already
-  // zero-extended) prior distributions. Every approximation introduced here
-  // lives on the dirty set, which is exactly what the propagation below
-  // recomputes.
-  FusionResult seed(db_, fusion_opts_.initial_accuracy);
-  for (ItemId i = 0; i < db_.num_items(); ++i) {
-    std::vector<double>* probs = seed.mutable_item_probs(i);
-    if (priors.Has(i)) {
-      const std::vector<double>& pin = priors.Get(i);
-      if (pin.size() != probs->size()) {
-        return Status::InvalidArgument(
-            "FuseWithAppends: pinned prior not extended to the current "
-            "claim count of item " +
-            std::to_string(i));
-      }
-      *probs = pin;
-      continue;
-    }
-    if (i < base.num_items()) {
-      const std::vector<double>& old = base.item_probs(i);
-      if (old.size() > probs->size()) {
-        return Status::InvalidArgument(
-            "FuseWithAppends: item " + std::to_string(i) +
-            " lost claims relative to the base result");
-      }
-      for (std::size_t k = 0; k < old.size(); ++k) (*probs)[k] = old[k];
-      // New claims of an existing item stay at 0; the item is dirty and gets
-      // recomputed.
-    } else if (probs->size() == 1) {
-      // Brand-new single-claim item: unanimous, probability 1 (what any
-      // model's normalization yields, and never recomputed).
-      (*probs)[0] = 1.0;
-    } else {
-      // Brand-new conflicted item: uniform seed; it is dirty by construction
-      // and recomputed on the first round.
-      const double u = 1.0 / static_cast<double>(probs->size());
-      for (double& p : *probs) p = u;
-    }
-  }
-  std::vector<double>* accuracies = seed.mutable_accuracies();
-  for (SourceId j = 0; j < base.accuracies().size(); ++j) {
-    (*accuracies)[j] = base.accuracies()[j];
-  }
-
-  // Flatten against the *current* structure (source sums are recomputed from
-  // scratch here, so revised votes are already reflected), then propagate
-  // from the dirty set exactly like a pin-ripple.
-  const BaseState state = PrepareBase(seed);
-  Workspace ws;
-  SyncWorkspace(state, ws);
-  ++ws.ticket_;
-  SeedDirty(ws, priors, dirty_items, dirty_sources);
-
-  DeltaFusionStats local_stats;
-  DeltaFusionStats* out_stats = stats != nullptr ? stats : &local_stats;
-  bool conv = false;
-  std::size_t iters = 0;
-  if (!Propagate(ws, priors, kInvalidItem, /*enforce_coverage=*/true, &conv,
-                 &iters, out_stats)) {
-    out_stats->fell_back = true;
-    fallbacks->Add(1);
-    return model_.Fuse(db_, priors, fusion_opts_, &seed);
-  }
-
-  FusionResult out = std::move(seed);
-  for (ItemId i : ws.touched_items_) {
-    std::vector<double>* probs = out.mutable_item_probs(i);
-    if (c.item_claims_flat(i)) {
-      const std::uint32_t g = c.claim_offset(i);
-      for (std::size_t k = 0; k < probs->size(); ++k) {
-        (*probs)[k] = ws.prob_[g + k];
-      }
-    } else {
-      for (std::size_t k = 0; k < probs->size(); ++k) {
-        (*probs)[k] = ws.prob_[c.global_claim_id(i, k)];
-      }
-    }
-  }
-  std::vector<double>* out_acc = out.mutable_accuracies();
-  for (SourceId j : ws.touched_sources_) (*out_acc)[j] = ws.acc_[j];
-  out.set_iterations(iters);
-  out.set_converged(conv);
-  return out;
 }
 
 }  // namespace veritas

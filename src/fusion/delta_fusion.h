@@ -1,4 +1,5 @@
-// DeltaFusion: incremental re-fusion after pinning one or a few items.
+// DeltaFusion: the MEU lookahead's incremental re-fusion after one
+// hypothetical pin.
 //
 // MEU's exact lookahead re-fuses the whole database O(m * kappa) times per
 // action (§4.2.2, Table 11) even though a single pin barely moves most of the
@@ -7,7 +8,7 @@
 // of items those sources touch, and so on. This engine propagates exactly
 // that dirty frontier over a CompiledDatabase CSR view:
 //
-//   pin item(s)  ->  sources voting on them get new vote-probability sums
+//   pin an item  ->  sources voting on it get new vote-probability sums
 //                ->  accuracy update restricted to those sources
 //                ->  probability update restricted to items the *changed*
 //                    sources vote on (Eq. 1 over cached per-source log-odds)
@@ -17,14 +18,11 @@
 // Sources whose accuracy moved by less than a small fraction of the
 // tolerance do not enroll their items, so the active subgraph stops growing
 // once the perturbation decays; the dropped mass is below the convergence
-// tolerance the full model itself stops at, which is why the result agrees
-// with a full warm-started Fuse within that tolerance (see DESIGN.md for the
-// exact semantics). When a *materializing* re-fusion (FuseWithPins) touches
-// more items than a coverage threshold, the engine abandons propagation and
-// falls back to a full warm-started Fuse; the entropy-only MEU lookahead
-// never falls back — even a global relaxation on the flat workspace arrays
-// beats a full Fuse, which must also rebuild its views and allocate a
-// result.
+// tolerance the full model itself stops at, which is why the lookahead
+// entropy agrees with a full warm-started Fuse within that tolerance (see
+// DESIGN.md §5b). The engine answers lookaheads only and never materializes
+// a FusionResult: a real validation, like a streaming append, is folded in
+// by one warm-started FusionModel::Fuse (the paper's Alg. 1).
 //
 // Supported models: Accu, Voting (exact — probabilities do not depend on
 // accuracies), TruthFinder. AccuCopy re-estimates its dependence matrix from
@@ -42,25 +40,10 @@
 #include "fusion/priors.h"
 #include "model/compiled_database.h"
 #include "model/database.h"
-#include "util/result.h"
 
 namespace veritas {
 
 class StreamingDatabase;
-
-/// Knobs of the incremental engine.
-struct DeltaFusionOptions {
-  /// Fall back to a full warm-started Fuse when more than this fraction of
-  /// all items has been touched by the propagation.
-  double max_frontier_fraction = 0.5;
-  /// A source re-dirties the items it votes on only when its accuracy moved
-  /// by at least `propagation_epsilon_factor * tolerance`. Below that the
-  /// change is absorbed (it is orders of magnitude under the convergence
-  /// tolerance of the full model, so the absorbed drift — roughly
-  /// eps / (1 - rho) per score term, rho being the model's contraction rate
-  /// — stays well inside the tolerance the full path itself stops at).
-  double propagation_epsilon_factor = 1e-3;
-};
 
 /// Restricts a lookahead's propagation to one shard of an item partition
 /// (DESIGN.md §5h). Items outside the scope never enter the frontier, so the
@@ -91,15 +74,7 @@ struct ItemScope {
   }
 };
 
-/// Per-call observability of one incremental re-fusion.
-struct DeltaFusionStats {
-  bool fell_back = false;           ///< Propagation abandoned for full Fuse.
-  std::size_t iterations = 0;       ///< Frontier rounds run.
-  std::size_t touched_items = 0;    ///< Distinct items whose probs changed.
-  std::size_t peak_frontier = 0;    ///< Largest single-round item frontier.
-};
-
-/// Incremental re-fusion engine for one (Database, FusionModel) pair.
+/// Lookahead engine for one (CSR view, FusionModel) pair.
 /// All methods are const and thread-safe; concurrent callers need their own
 /// Workspace (see MEU's per-worker workspaces).
 class DeltaFusionEngine {
@@ -121,7 +96,6 @@ class DeltaFusionEngine {
     const void* synced_base_ = nullptr;
     std::uint64_t synced_id_ = 0;
     std::uint64_t ticket_ = 0;       // Dedupe stamp for the touched lists.
-    std::size_t claims_ = 0, sources_ = 0, items_ = 0;
     // Flat working copies of the base state.
     std::vector<double> prob_;
     std::vector<double> acc_;
@@ -129,8 +103,8 @@ class DeltaFusionEngine {
     std::vector<double> term_;
     std::vector<double> item_entropy_;
     // The active subgraph (cumulative; membership = tick equals ticket_).
-    // touched_items_ includes pinned items; frontier_ is the recompute list
-    // (touched minus fixed items), relaxed every round.
+    // touched_items_ includes the pinned item; frontier_ is the recompute
+    // list (touched minus fixed items), relaxed every round.
     std::vector<std::uint64_t> item_touch_tick_;
     std::vector<ItemId> touched_items_;
     std::vector<std::uint64_t> source_touch_tick_;
@@ -150,12 +124,10 @@ class DeltaFusionEngine {
   };
 
   /// Flat snapshot of a converged base <P, A>, reusable across many pins of
-  /// the same base (one per MEU candidate scan). `origin` must outlive the
-  /// state; it backs the full-Fuse fallback warm start. `id` is a globally
-  /// unique generation stamp so workspaces can tell bases apart even when
-  /// one is rebuilt at the same address.
+  /// the same base (one per MEU candidate scan). `id` is a globally unique
+  /// generation stamp so workspaces can tell bases apart even when one is
+  /// rebuilt at the same address.
   struct BaseState {
-    const FusionResult* origin = nullptr;
     std::uint64_t id = 0;
     /// CompiledDatabase epoch this state was flattened against. Every lookup
     /// into `probs`/`source_sums` is positional in that epoch's layout; the
@@ -171,14 +143,11 @@ class DeltaFusionEngine {
     double total_entropy = 0.0;
   };
 
-  /// True when `model` has the local-update structure the engine exploits.
-  static bool Supports(const FusionModel& model);
-
   /// Builds an engine, or null when the model is unsupported. Owns its
   /// CompiledDatabase view (frozen databases — the view never changes).
-  static std::unique_ptr<DeltaFusionEngine> Create(
-      const Database& db, const FusionModel& model, FusionOptions fusion_opts,
-      DeltaFusionOptions delta_opts = {});
+  static std::unique_ptr<DeltaFusionEngine> Create(const Database& db,
+                                                   const FusionModel& model,
+                                                   FusionOptions fusion_opts);
 
   /// Streaming variant: borrows the StreamingDatabase's live view instead of
   /// compiling a private copy, so ingest batches become visible to the engine
@@ -186,11 +155,9 @@ class DeltaFusionEngine {
   /// outlive the engine.
   static std::unique_ptr<DeltaFusionEngine> Create(
       const StreamingDatabase& stream, const FusionModel& model,
-      FusionOptions fusion_opts, DeltaFusionOptions delta_opts = {});
+      FusionOptions fusion_opts);
 
   const CompiledDatabase& compiled() const { return *compiled_; }
-  const FusionOptions& fusion_options() const { return fusion_opts_; }
-  const DeltaFusionOptions& delta_options() const { return delta_opts_; }
 
   /// True when a pin on one item can move *other* items' probabilities
   /// (through the shared-source accuracy coupling). Voting has no such
@@ -201,15 +168,6 @@ class DeltaFusionEngine {
   /// Flattens a converged fusion result for repeated pinning.
   BaseState PrepareBase(const FusionResult& base) const;
 
-  /// Full re-fusion result after pinning `items` to the distributions
-  /// `priors` holds for them. `priors` must already contain every entry of
-  /// `items`; `base` is the converged result *without* those pins (the warm
-  /// state the session carries). Falls back to model.Fuse on frontier
-  /// overflow.
-  FusionResult FuseWithPins(const FusionResult& base, const PriorSet& priors,
-                            const std::vector<ItemId>& items,
-                            DeltaFusionStats* stats = nullptr) const;
-
   /// MEU fast path: the total entropy of the hypothetical state where `item`
   /// is pinned one-hot to `claim`, without materializing a FusionResult.
   /// `priors` is the current prior set (NOT yet containing `item`). A
@@ -218,35 +176,18 @@ class DeltaFusionEngine {
   double EntropyAfterExactPin(const BaseState& base, Workspace& ws,
                               const PriorSet& priors, ItemId item,
                               ClaimIndex claim,
-                              DeltaFusionStats* stats = nullptr,
                               const ItemScope* scope = nullptr) const;
-
-  /// Streaming re-fusion: folds freshly appended observations into a
-  /// converged result instead of re-fusing from scratch. `base` is the
-  /// converged result from *before* the appends (its shape may lag the
-  /// database — missing the new items/sources/claims); `dirty_items` /
-  /// `dirty_sources` are the entities the appends touched (from
-  /// StreamingDatabase::TakeDirty). The engine extends `base` to the current
-  /// shape (new claims at probability 0, new sources at the initial
-  /// accuracy, new single-claim items pinned), seeds the propagation
-  /// frontier from the dirty set — an append enrolls exactly like a
-  /// pin-ripple — and relaxes to convergence. Falls back to a full
-  /// warm-started Fuse on frontier overflow. Fails (InvalidArgument) when
-  /// `base` is from a *newer* shape than the database, which indicates caller
-  /// confusion rather than staleness.
-  Result<FusionResult> FuseWithAppends(const FusionResult& base,
-                                       const PriorSet& priors,
-                                       const std::vector<ItemId>& dirty_items,
-                                       const std::vector<SourceId>& dirty_sources,
-                                       DeltaFusionStats* stats = nullptr) const;
 
  private:
   enum class Kind { kAccu, kVoting, kTruthFinder };
 
-  DeltaFusionEngine(const Database& db, const FusionModel& model, Kind kind,
-                    double gamma, FusionOptions fusion_opts,
-                    DeltaFusionOptions delta_opts,
-                    const CompiledDatabase* external_view);
+  DeltaFusionEngine(Kind kind, double gamma, FusionOptions fusion_opts)
+      : kind_(kind), gamma_(gamma), fusion_opts_(fusion_opts) {}
+
+  /// The model-kind detection both Create overloads share; the caller
+  /// attaches the CSR view. Null when the model is unsupported.
+  static std::unique_ptr<DeltaFusionEngine> ForModel(const FusionModel& model,
+                                                     FusionOptions fusion_opts);
 
   double ScoreTerm(double accuracy) const;
   /// Copies `base` into the workspace's flat working arrays.
@@ -259,34 +200,22 @@ class DeltaFusionEngine {
   /// the items one at a time — scores depend only on term_, which the pass
   /// never writes, and the scatter preserves per-item order.
   void RecomputeItems(Workspace& ws) const;
-  /// Relaxes the active subgraph to convergence. With `enforce_coverage`,
-  /// returns false as soon as the touched-item set exceeds the coverage
-  /// threshold (caller must fall back to a full Fuse); without it the
-  /// relaxation simply degrades into a full-database alternation on the
-  /// workspace arrays. `extra_pin` marks a pinned item absent from `priors`;
-  /// a non-null `scope` keeps out-of-scope items off the frontier.
-  bool Propagate(Workspace& ws, const PriorSet& priors, ItemId extra_pin,
-                 bool enforce_coverage, bool* converged,
-                 std::size_t* iterations, DeltaFusionStats* stats,
-                 const ItemScope* scope = nullptr) const;
+  /// Relaxes the active subgraph to convergence (or the iteration cap). When
+  /// the pin's influence is global the relaxation simply degrades into a
+  /// full-database alternation on the workspace arrays — still cheaper than
+  /// a full Fuse, which must also rebuild its views and allocate a result.
+  /// `extra_pin` marks the pinned item, absent from `priors`; a non-null
+  /// `scope` keeps out-of-scope items off the frontier.
+  void Propagate(Workspace& ws, const PriorSet& priors, ItemId extra_pin,
+                 const ItemScope* scope) const;
 
-  /// Seeds `ws` for a propagation over an already-pinned/extended state:
-  /// marks `dirty_items` touched (multi-claim unpinned ones enter the
-  /// frontier) and `dirty_sources` touched.
-  void SeedDirty(Workspace& ws, const PriorSet& priors,
-                 const std::vector<ItemId>& dirty_items,
-                 const std::vector<SourceId>& dirty_sources) const;
-
-  const Database& db_;
-  const FusionModel& model_;
   Kind kind_;
   double gamma_;
   FusionOptions fusion_opts_;
-  DeltaFusionOptions delta_opts_;
   // The CSR view: owned for frozen databases, borrowed from a
   // StreamingDatabase when the engine follows a live stream.
   std::unique_ptr<CompiledDatabase> owned_compiled_;
-  const CompiledDatabase* compiled_;
+  const CompiledDatabase* compiled_ = nullptr;
 };
 
 }  // namespace veritas

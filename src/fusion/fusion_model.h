@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include "fusion/fusion_result.h"
 #include "fusion/priors.h"
@@ -22,12 +23,14 @@ struct FusionOptions {
   std::size_t max_iterations = 100;
   /// Convergence threshold on the L-infinity change of source accuracies.
   double tolerance = 1e-6;
-  /// Use the incremental DeltaFusionEngine for lookahead and post-feedback
-  /// re-fusions when the model supports it (Accu, Voting, TruthFinder; see
+  /// Answer the MEU-family lookaheads with the incremental DeltaFusionEngine
+  /// when the model supports it (Accu, Voting, TruthFinder; see
   /// fusion/delta_fusion.h). Models without local-update structure (AccuCopy)
-  /// ignore the flag and always re-fuse fully. Only takes effect together
-  /// with warm starts — cold-started runs stay on the full path so the
-  /// paper's worked examples remain bit-exact.
+  /// ignore the flag and always re-fuse fully. Real validations and
+  /// streaming appends always re-fuse with FusionModel::Fuse; the flag does
+  /// not touch them. Only takes effect together with warm starts —
+  /// cold-started runs stay on the full path so the paper's worked examples
+  /// remain bit-exact.
   bool use_delta_fusion = true;
   /// Number of item-disjoint shards for the MEU-family candidate scans
   /// (DESIGN.md §5h). <= 1 keeps the classic single-view scan. With N > 1
@@ -72,6 +75,14 @@ class FusionModel {
     return Fuse(db, PriorSet(), opts);
   }
 };
+
+/// The clamped starting source accuracies of a Fuse over `num_sources`
+/// sources: `warm`'s accuracies, with sources appended since it was computed
+/// at `initial_accuracy`; all `initial_accuracy` when `warm` is null. A warm
+/// result from before a streaming append is therefore a legal warm start.
+std::vector<double> WarmStartAccuracies(const FusionResult* warm,
+                                        std::size_t num_sources,
+                                        double initial_accuracy);
 
 }  // namespace veritas
 

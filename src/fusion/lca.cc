@@ -16,10 +16,7 @@ FusionResult SimpleLcaFusion::Fuse(const Database& db, const PriorSet& priors,
                                    const FusionResult* warm) const {
   FusionResult result(db, opts.initial_accuracy);
   std::vector<double> honesty =
-      warm != nullptr ? warm->accuracies()
-                      : std::vector<double>(db.num_sources(),
-                                            opts.initial_accuracy);
-  for (double& h : honesty) h = ClampAccuracy(h);
+      WarmStartAccuracies(warm, db.num_sources(), opts.initial_accuracy);
 
   bool converged = false;
   std::size_t iter = 0;

@@ -18,10 +18,7 @@ FusionResult PooledInvestmentFusion::Fuse(const Database& db,
                                           const FusionResult* warm) const {
   FusionResult result(db, opts.initial_accuracy);
   std::vector<double> trust =
-      warm != nullptr ? warm->accuracies()
-                      : std::vector<double>(db.num_sources(),
-                                            opts.initial_accuracy);
-  for (double& t : trust) t = ClampAccuracy(t);
+      WarmStartAccuracies(warm, db.num_sources(), opts.initial_accuracy);
 
   bool converged = false;
   std::size_t iter = 0;

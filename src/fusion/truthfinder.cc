@@ -36,10 +36,7 @@ FusionResult TruthFinderFusion::Fuse(const Database& db,
 
   const CompiledDatabase c(db);
   std::vector<double> trust =
-      warm != nullptr ? warm->accuracies()
-                      : std::vector<double>(c.num_sources(),
-                                            opts.initial_accuracy);
-  for (double& t : trust) t = ClampAccuracy(t);
+      WarmStartAccuracies(warm, c.num_sources(), opts.initial_accuracy);
 
   std::vector<double> probs(c.num_claims(), 0.0);
   // Constant distributions: pinned items copy their prior, singletons are 1.

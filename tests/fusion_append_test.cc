@@ -1,10 +1,13 @@
-// Append-equivalence of the incremental fusion path: folding a stream of
-// observations into a converged result via FuseWithAppends must land on the
+// Append-equivalence of the streaming re-fusion: folding a stream of
+// observations into a converged result with the warm-started Fuse a
+// streaming session runs after every ingest tick (the warm result lags the
+// database by the batch's new items, claims and sources) must land on the
 // same fixed point as a cold full Fuse over the final database — per claim
-// probability, per source accuracy, and total entropy — for every supported
-// model, including across compactions and with pins held through epochs.
-// Lives in the concurrency binary so the read-only-lookahead-between-appends
-// test runs under ThreadSanitizer in CI.
+// probability, per source accuracy, and total entropy — for every model the
+// lookahead engine supports, including across compactions and with pins held
+// through epochs. The lookahead engine's stale-view guard is checked here
+// too. Lives in the concurrency binary so the read-only-lookahead-between-
+// appends test runs under ThreadSanitizer in CI.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -24,9 +27,9 @@
 namespace veritas {
 namespace {
 
-// The incremental path absorbs per-source accuracy moves below a small
-// fraction of the convergence tolerance, so agreement is within the
-// tolerance band the full model itself stops at — not bit-exact.
+// Warm and cold runs stop at the same convergence tolerance from different
+// starting accuracies, so agreement is within the tolerance band the full
+// model itself stops at — not bit-exact.
 constexpr double kProbTol = 5e-5;
 constexpr double kAccTol = 5e-5;
 constexpr double kEntropyTol = 1e-3;
@@ -83,8 +86,6 @@ TEST_P(AppendEquivalenceTest, StreamedAppendsMatchColdRebuild) {
 
   StreamingDatabase stream{Database()};
   FusionOptions opts;
-  const auto engine = DeltaFusionEngine::Create(stream, model, opts);
-  ASSERT_NE(engine, nullptr) << param.model;
 
   const PriorSet priors;
   FusionResult rolling = model.Fuse(stream.db(), priors, opts);
@@ -96,10 +97,7 @@ TEST_P(AppendEquivalenceTest, StreamedAppendsMatchColdRebuild) {
     ASSERT_TRUE(stream.AppendBatch(batch).ok());
     stream.TakeDirty(&dirty_items, &dirty_sources);
     if (dirty_items.empty() && dirty_sources.empty()) continue;
-    auto next =
-        engine->FuseWithAppends(rolling, priors, dirty_items, dirty_sources);
-    ASSERT_TRUE(next.ok()) << next.status();
-    rolling = std::move(next).value();
+    rolling = model.Fuse(stream.db(), priors, opts, &rolling);
     ASSERT_TRUE(rolling.AllFinite());
   }
 
@@ -116,8 +114,6 @@ TEST_P(AppendEquivalenceTest, PinsSurviveAppendsAndCompaction) {
 
   StreamingDatabase stream{Database()};
   FusionOptions opts;
-  const auto engine = DeltaFusionEngine::Create(stream, model, opts);
-  ASSERT_NE(engine, nullptr);
 
   PriorSet priors;
   FusionResult rolling = model.Fuse(stream.db(), priors, opts);
@@ -133,10 +129,7 @@ TEST_P(AppendEquivalenceTest, PinsSurviveAppendsAndCompaction) {
     // Pins acquired earlier must be zero-extended when their item grows.
     priors.ExtendForNewClaims(stream.db());
     if (!(dirty_items.empty() && dirty_sources.empty())) {
-      auto next =
-          engine->FuseWithAppends(rolling, priors, dirty_items, dirty_sources);
-      ASSERT_TRUE(next.ok()) << next.status();
-      rolling = std::move(next).value();
+      rolling = model.Fuse(stream.db(), priors, opts, &rolling);
     }
     ++ticks;
     if (ticks == 2) {
@@ -152,7 +145,7 @@ TEST_P(AppendEquivalenceTest, PinsSurviveAppendsAndCompaction) {
       std::vector<double> pin(stream.db().num_claims(pinned), 0.0);
       pin[0] = 1.0;
       ASSERT_TRUE(priors.SetDistribution(stream.db(), pinned, pin).ok());
-      rolling = engine->FuseWithPins(rolling, priors, {pinned});
+      rolling = model.Fuse(stream.db(), priors, opts, &rolling);
       ASSERT_TRUE(rolling.AllFinite());
     }
     if (ticks == 3) {
@@ -248,8 +241,6 @@ TEST(StaleViewTest, ParallelLookaheadsBetweenAppendsAreRaceFree) {
   }
   ASSERT_GE(conflicted.size(), 4u);
 
-  std::vector<ItemId> dirty_items;
-  std::vector<SourceId> dirty_sources;
   for (int round = 0; round < 3; ++round) {
     const DeltaFusionEngine::BaseState base = engine->PrepareBase(rolling);
     std::vector<std::thread> workers;
@@ -271,11 +262,7 @@ TEST(StaleViewTest, ParallelLookaheadsBetweenAppendsAreRaceFree) {
                                   stream.db().item(conflicted[0]).name,
                                   "late_claim_" + std::to_string(round), 0.0});
     ASSERT_TRUE(stream.AppendBatch(batch).ok());
-    stream.TakeDirty(&dirty_items, &dirty_sources);
-    auto next =
-        engine->FuseWithAppends(rolling, priors, dirty_items, dirty_sources);
-    ASSERT_TRUE(next.ok()) << next.status();
-    rolling = std::move(next).value();
+    rolling = model_or.value()->Fuse(stream.db(), priors, opts, &rolling);
   }
   ASSERT_TRUE(rolling.AllFinite());
 }

@@ -1,13 +1,19 @@
 // Convergence-behaviour tests of the iterative fusion models: iteration
-// accounting, tolerance semantics, warm-start savings, and the §3 caveat
-// that convergence is not guaranteed but is always reported honestly.
+// accounting, tolerance semantics, warm-start savings (including warm starts
+// from a result with fewer sources), and the §3 caveat that convergence is
+// not guaranteed but is always reported honestly.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <unordered_set>
+#include <vector>
 
 #include "data/example_data.h"
 #include "data/synthetic.h"
 #include "fusion/accu.h"
 #include "fusion/fusion_factory.h"
 #include "model/database_builder.h"
+#include "model/streaming_database.h"
 
 namespace veritas {
 namespace {
@@ -121,6 +127,72 @@ TEST_P(IterativeModelConvergenceTest, ConvergesOnEasyData) {
 INSTANTIATE_TEST_SUITE_P(Models, IterativeModelConvergenceTest,
                          ::testing::Values("accu", "accu_copy",
                                            "truthfinder", "lca",
+                                           "pooled_investment"));
+
+// A warm result from before a streaming append has fewer sources than the
+// database. Every model that reads a warm start must treat it exactly like
+// the explicitly extended result: the old accuracies, with the appended
+// sources at the initial accuracy (WarmStartAccuracies).
+class WarmStartAfterAppendTest
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(WarmStartAfterAppendTest, ShorterWarmResultMatchesExtendedOne) {
+  DenseConfig config;
+  config.num_items = 60;
+  config.num_sources = 12;
+  config.density = 0.5;
+  config.seed = 23;
+  config.emit_stream = true;
+  const SyntheticDataset data = GenerateDense(config);
+
+  // The last three sources to appear arrive in a second batch.
+  std::vector<std::string> order;
+  std::unordered_set<std::string> seen;
+  for (const StreamObservation& o : data.stream) {
+    if (seen.insert(o.source).second) order.push_back(o.source);
+  }
+  ASSERT_GT(order.size(), 3u);
+  const std::unordered_set<std::string> late(order.end() - 3, order.end());
+  IngestBatch first;
+  IngestBatch second;
+  for (const StreamObservation& o : data.stream) {
+    (late.count(o.source) > 0 ? second : first).observations.push_back(o);
+  }
+
+  auto model = MakeFusionModel(GetParam());
+  ASSERT_TRUE(model.ok());
+  FusionOptions opts;
+  StreamingDatabase stream{Database()};
+  ASSERT_TRUE(stream.AppendBatch(first).ok());
+  PriorSet priors;
+  const ItemId pinned = stream.db().ConflictingItems().front();
+  ASSERT_TRUE(priors.SetExact(stream.db(), pinned, 0).ok());
+  const FusionResult warm = (*model)->Fuse(stream.db(), priors, opts);
+  const std::size_t old_sources = stream.db().num_sources();
+
+  ASSERT_TRUE(stream.AppendBatch(second).ok());
+  const Database& db = stream.db();
+  ASSERT_EQ(db.num_sources(), old_sources + 3);
+  priors.ExtendForNewClaims(db);
+  FusionResult extended(db, opts.initial_accuracy);
+  for (SourceId j = 0; j < old_sources; ++j) {
+    (*extended.mutable_accuracies())[j] = warm.accuracy(j);
+  }
+
+  const FusionResult from_short = (*model)->Fuse(db, priors, opts, &warm);
+  const FusionResult from_extended =
+      (*model)->Fuse(db, priors, opts, &extended);
+  ASSERT_TRUE(from_short.AllFinite());
+  EXPECT_EQ(from_short.iterations(), from_extended.iterations());
+  EXPECT_EQ(from_short.accuracies(), from_extended.accuracies());
+  for (ItemId i = 0; i < db.num_items(); ++i) {
+    EXPECT_EQ(from_short.item_probs(i), from_extended.item_probs(i))
+        << "item " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, WarmStartAfterAppendTest,
+                         ::testing::Values("accu", "truthfinder", "lca",
                                            "pooled_investment"));
 
 TEST(ConvergenceTest, OscillationIsReportedNotHidden) {

@@ -64,7 +64,8 @@ void PrintUsage() {
       "  session      --data obs.csv --truth truth.csv\n"
       "               [--strategy approx_meu] [--budget 20]\n"
       "               [--oracle perfect] [--batch 1] [--seed 42]\n"
-      "               [--model accu] [--threads 1] [--no-delta]\n"
+      "               [--model accu] [--threads 1]\n"
+      "               [--no-delta]  (full re-fusion for MEU lookaheads)\n"
       "               [--shards 1]\n"
       "               [--flaky <p|plan>] [--retries 3]\n"
       "               [--checkpoint ckpt] [--checkpoint-every 1]\n"
@@ -268,9 +269,10 @@ Status RunSession(const ArgMap& args) {
   VERITAS_ASSIGN_OR_RETURN(auto model,
                            MakeFusionModel(args.GetString("model", "accu")));
   SessionOptions options;
-  // --no-delta forces every re-fusion (lookahead and post-feedback) onto the
-  // full path; with the flag absent, models with local-update structure use
-  // the incremental DeltaFusionEngine.
+  // --no-delta forces the MEU-family lookaheads onto full re-fusions; with
+  // the flag absent, models with local-update structure answer them with the
+  // incremental DeltaFusionEngine. Post-feedback re-fusions are full warm
+  // Fuses either way.
   options.fusion.use_delta_fusion = !args.GetBool("no-delta");
   // --shards > 1 routes the MEU-family candidate scans through the
   // two-stage sharded protocol (DESIGN.md §5h); 1 is the classic flat scan.

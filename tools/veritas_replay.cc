@@ -17,7 +17,8 @@
 //                                          re-observations (last-write-wins)
 //                  [--batch-obs 64]        observations per ingest batch
 //                  [--budget 20] [--batch 1] [--strategy approx_meu]
-//                  [--oracle perfect] [--model accu] [--no-delta]
+//                  [--oracle perfect] [--model accu]
+//                  [--no-delta]            full re-fusion for MEU lookaheads
 //                  [--deadline-ms N]
 //                  [--compact-tail-fraction 0.25] [--compact-min-tail 256]
 //                  [--json BENCH_fusion.json]   merge a replay_ingest record
@@ -129,6 +130,8 @@ Status RunReplay(const ArgMap& args) {
                            MakeFusionModel(args.GetString("model", "accu")));
 
   SessionOptions options;
+  // --no-delta only affects the MEU-family lookaheads; every ingest tick and
+  // validation round re-fuses with one warm Fuse either way.
   options.fusion.use_delta_fusion = !args.GetBool("no-delta");
   options.max_validations = static_cast<std::size_t>(budget);
   options.batch_size = static_cast<std::size_t>(batch);
