@@ -6,8 +6,10 @@
 // in the concurrency binary so CI reruns it under ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/candidate_scan.h"
@@ -199,8 +201,13 @@ TEST(MeuPrunedParallelTest, ResetClearsTheSeedRanking) {
 
 // Every lookahead strategy runs its candidates through CandidateScan; its
 // selections must not depend on the lane count.
+//
+// gtest lists an unprintable parameter as its raw bytes, and those bytes
+// become part of the ctest name. The case therefore holds only plain bytes:
+// a std::string member would put a heap address into the name and make it
+// change from build to build.
 struct LaneCase {
-  std::string strategy;
+  char strategy[32];
   std::size_t lanes;
 };
 
@@ -215,7 +222,7 @@ TEST_P(LaneInvarianceTest, SelectionsMatchOneLane) {
   for (int round = 0; round < 2; ++round) {
     // Enough candidates that the multi-lane scan takes the pooled path.
     const std::size_t scanned =
-        param.strategy.rfind("approx_meu_k:", 0) == 0
+        std::string_view(param.strategy).rfind("approx_meu_k:", 0) == 0
             ? ApproxMeuKStrategy::FilterCandidates(fx.ctx, 50).size()
             : CandidateItems(fx.ctx).size();
     ASSERT_GE(scanned, CandidateScan::kSerialCutoff) << "round " << round;
@@ -230,7 +237,11 @@ std::vector<LaneCase> LaneCases() {
   std::vector<LaneCase> cases;
   for (const char* strategy : {"meu", "approx_meu", "approx_meu_k:50", "gub"}) {
     for (const std::size_t lanes : {1u, 2u, 4u}) {
-      cases.push_back({strategy, lanes});
+      LaneCase lane_case{};
+      std::snprintf(lane_case.strategy, sizeof(lane_case.strategy), "%s",
+                    strategy);
+      lane_case.lanes = lanes;
+      cases.push_back(lane_case);
     }
   }
   return cases;
