@@ -4,7 +4,6 @@
 #include <cmath>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <unordered_set>
 #include <utility>
@@ -149,8 +148,6 @@ Result<SessionTrace> FeedbackSession::Run() {
   static Counter* ingest_rev_counter = reg.GetCounter("ingest.revisions");
   static Counter* ingest_dup_counter = reg.GetCounter("ingest.duplicates");
   static Counter* ingest_batches_counter = reg.GetCounter("ingest.batches");
-  static Counter* ingest_compactions_counter =
-      reg.GetCounter("ingest.compactions");
   static Counter* truth_applied_counter =
       reg.GetCounter("ingest.truth_applied");
   static Counter* truth_deferred_counter =
@@ -179,24 +176,13 @@ Result<SessionTrace> FeedbackSession::Run() {
           "streaming session: checkpoint/resume is not supported (a "
           "checkpoint snapshots fusion state against a fixed database)");
     }
-    if (streaming.compaction.has_value()) {
-      const StreamingOptions& policy = *streaming.compaction;
-      if (policy.compact_tail_fraction <= 0.0 ||
-          policy.compact_tail_fraction > 1.0) {
-        return Status::InvalidArgument(
-            "streaming session: compact_tail_fraction must be in (0, 1]");
-      }
-      streaming.stream->set_options(policy);
-    }
   }
 
   SessionTrace trace;
   strategy_->Reset();
-  // The conflict graph is positional over the database; streaming appends
-  // invalidate it, so it lives in an optional and is re-emplaced per tick
-  // (ItemGraph holds a const reference and is not assignable).
-  std::optional<ItemGraph> graph;
-  graph.emplace(db_);
+  // The conflict graph reads the live database on demand, so one graph
+  // serves the whole run, streaming appends included.
+  const ItemGraph graph(db_);
 
   // Cooperative stop plumbing: the fusion models and strategies see the
   // same token, so a hard stop drains the inner loops promptly while a
@@ -359,11 +345,6 @@ Result<SessionTrace> FeedbackSession::Run() {
     // gets probability 0).
     trace.priors.ExtendForNewClaims(db_);
 
-    if (streaming.stream->CompactIfNeeded()) {
-      ++trace.compactions;
-      ingest_compactions_counter->Add(1);
-    }
-
     std::vector<ItemId> dirty_items;
     std::vector<SourceId> dirty_sources;
     streaming.stream->TakeDirty(&dirty_items, &dirty_sources);
@@ -385,7 +366,6 @@ Result<SessionTrace> FeedbackSession::Run() {
         drift = std::max(drift, std::fabs(acc_after[j] - acc_before[j]));
       }
       drift_gauge->Set(drift);
-      graph.emplace(db_);
     }
     trace.final_epoch = streaming.stream->epoch();
     epoch_gauge->Set(static_cast<double>(trace.final_epoch));
@@ -453,7 +433,7 @@ Result<SessionTrace> FeedbackSession::Run() {
     ctx.model = &model_;
     ctx.fusion_opts = &options_.fusion;
     ctx.ground_truth = &truth_;
-    ctx.graph = &*graph;
+    ctx.graph = &graph;
     ctx.rng = rng_;
     ctx.excluded = &skipped_set;
     ctx.include_singletons = options_.include_singletons;

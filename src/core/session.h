@@ -8,7 +8,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,11 +42,6 @@ struct StreamingSessionConfig {
   /// the oracle hard-fails on unknown truth (GroundTruthOracle): a streamed
   /// item then waits for its truth row instead of aborting the session.
   bool require_known_truth = false;
-  /// When set, replaces the stream's compaction policy at session start —
-  /// how the CLI/replay `--compact-tail-fraction` / `--compact-min-tail`
-  /// flags reach the database the session ticks. Unset keeps whatever policy
-  /// the StreamingDatabase was constructed with.
-  std::optional<StreamingOptions> compaction;
 
   bool active() const { return stream != nullptr; }
 };
@@ -152,7 +146,9 @@ struct SessionTrace {
   std::size_t ingest_revisions = 0;       ///< Last-write-wins rewrites.
   std::size_t truths_applied = 0;         ///< Streamed truth rows landed.
   std::size_t truths_deferred = 0;        ///< Rows still waiting at the end.
-  std::size_t compactions = 0;            ///< Tail-fold rebuilds of the view.
+  /// Always 0: a changing batch rebuilds the view in place, so nothing is
+  /// folded later. perfbench still reports it as model.compactions.
+  std::size_t compactions = 0;
   std::uint64_t final_epoch = 0;          ///< View epoch after the last tick.
 
   /// Relative change of distance after `steps[idx]` vs the initial value, in

@@ -97,17 +97,10 @@ DeltaFusionEngine::BaseState DeltaFusionEngine::PrepareBase(
     const std::vector<double>& p = base.item_probs(i);
     assert(p.size() == c.item_num_claims(i));
     double h = 0.0;
-    if (c.item_claims_flat(i)) {
-      const std::uint32_t g = c.claim_offset(i);
-      for (std::size_t k = 0; k < p.size(); ++k) {
-        s.probs[g + k] = p[k];
-        h += EntropyTerm(p[k]);
-      }
-    } else {
-      for (std::size_t k = 0; k < p.size(); ++k) {
-        s.probs[c.global_claim_id(i, k)] = p[k];
-        h += EntropyTerm(p[k]);
-      }
+    const std::uint32_t g = c.claim_offset(i);
+    for (std::size_t k = 0; k < p.size(); ++k) {
+      s.probs[g + k] = p[k];
+      h += EntropyTerm(p[k]);
     }
     s.item_entropy[i] = h;
     s.total_entropy += h;
@@ -154,17 +147,10 @@ void DeltaFusionEngine::ApplyPin(Workspace& ws, ItemId item, const double* pin,
   // Claim deltas, then vote-sum updates, then the new probabilities.
   ws.scores_.resize(n);
   double h = 0.0;
-  if (c.item_claims_flat(item)) {
-    const std::uint32_t g = c.claim_offset(item);
-    for (std::size_t k = 0; k < n; ++k) {
-      ws.scores_[k] = pin[k] - ws.prob_[g + k];
-      h += EntropyTerm(pin[k]);
-    }
-  } else {
-    for (std::size_t k = 0; k < n; ++k) {
-      ws.scores_[k] = pin[k] - ws.prob_[c.global_claim_id(item, k)];
-      h += EntropyTerm(pin[k]);
-    }
+  const std::uint32_t g = c.claim_offset(item);
+  for (std::size_t k = 0; k < n; ++k) {
+    ws.scores_[k] = pin[k] - ws.prob_[g + k];
+    h += EntropyTerm(pin[k]);
   }
   c.ForEachItemVote(item, [&](SourceId j, ClaimIndex k) {
     const double dp = ws.scores_[k];
@@ -175,14 +161,7 @@ void DeltaFusionEngine::ApplyPin(Workspace& ws, ItemId item, const double* pin,
       ws.touched_sources_.push_back(j);
     }
   });
-  if (c.item_claims_flat(item)) {
-    const std::uint32_t g = c.claim_offset(item);
-    for (std::size_t k = 0; k < n; ++k) ws.prob_[g + k] = pin[k];
-  } else {
-    for (std::size_t k = 0; k < n; ++k) {
-      ws.prob_[c.global_claim_id(item, k)] = pin[k];
-    }
-  }
+  for (std::size_t k = 0; k < n; ++k) ws.prob_[g + k] = pin[k];
   ws.item_entropy_[item] = h;
 }
 
@@ -193,7 +172,6 @@ void DeltaFusionEngine::RecomputeItems(Workspace& ws) const {
   // Without accuracy coupling no source enrolls an item, so a Voting
   // lookahead never has a frontier; only Accu and TruthFinder reach here.
   assert(kind_ != Kind::kVoting);
-  const bool view_flat = c.flat();
   const std::vector<SourceId>& claim_sources = c.claim_sources();
 
   // Pass 0: lay the frontier's claims out flat (one prefix-sum of offsets),
@@ -216,66 +194,36 @@ void DeltaFusionEngine::RecomputeItems(Workspace& ws) const {
   const double* term = ws.term_.data();
   double* scores = ws.frontier_scores_.data();
   if (kind_ == Kind::kAccu) {
-    if (view_flat) {
-      for (std::size_t f = 0; f < m; ++f) {
-        const ItemId item = ws.frontier_[f];
-        const std::uint32_t g = c.claim_offset(item);
-        const std::size_t n = c.item_base_claims(item);
-        const double lf = c.log_false_values(item);
-        double* out = scores + ws.frontier_offsets_[f];
-        for (std::size_t k = 0; k < n; ++k) {
-          const std::uint32_t begin = c.claim_sources_begin(g + k);
-          const std::uint32_t end = c.claim_sources_end(g + k);
-          double score = static_cast<double>(end - begin) * lf;
-          for (std::uint32_t v = begin; v < end; ++v) {
-            score += term[claim_sources[v]];
-          }
-          out[k] = score;
+    for (std::size_t f = 0; f < m; ++f) {
+      const ItemId item = ws.frontier_[f];
+      const std::uint32_t g = c.claim_offset(item);
+      const std::size_t n = c.item_num_claims(item);
+      const double lf = c.log_false_values(item);
+      double* out = scores + ws.frontier_offsets_[f];
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::uint32_t begin = c.claim_sources_begin(g + k);
+        const std::uint32_t end = c.claim_sources_end(g + k);
+        double score = static_cast<double>(end - begin) * lf;
+        for (std::uint32_t v = begin; v < end; ++v) {
+          score += term[claim_sources[v]];
         }
-      }
-    } else {
-      for (std::size_t f = 0; f < m; ++f) {
-        const ItemId item = ws.frontier_[f];
-        const std::size_t n = c.item_num_claims(item);
-        const double lf = c.log_false_values(item);
-        double* out = scores + ws.frontier_offsets_[f];
-        for (std::size_t k = 0; k < n; ++k) {
-          const std::uint32_t g = c.global_claim_id(item, k);
-          double score =
-              static_cast<double>(c.claim_num_sources(g)) * lf;
-          c.ForEachClaimSource(g, [&](SourceId j) { score += term[j]; });
-          out[k] = score;
-        }
+        out[k] = score;
       }
     }
   } else {  // kTruthFinder
-    if (view_flat) {
-      for (std::size_t f = 0; f < m; ++f) {
-        const ItemId item = ws.frontier_[f];
-        const std::uint32_t g = c.claim_offset(item);
-        const std::size_t n = c.item_base_claims(item);
-        double* out = scores + ws.frontier_offsets_[f];
-        for (std::size_t k = 0; k < n; ++k) {
-          const std::uint32_t begin = c.claim_sources_begin(g + k);
-          const std::uint32_t end = c.claim_sources_end(g + k);
-          double sigma = 0.0;
-          for (std::uint32_t v = begin; v < end; ++v) {
-            sigma += term[claim_sources[v]];
-          }
-          out[k] = sigma;
+    for (std::size_t f = 0; f < m; ++f) {
+      const ItemId item = ws.frontier_[f];
+      const std::uint32_t g = c.claim_offset(item);
+      const std::size_t n = c.item_num_claims(item);
+      double* out = scores + ws.frontier_offsets_[f];
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::uint32_t begin = c.claim_sources_begin(g + k);
+        const std::uint32_t end = c.claim_sources_end(g + k);
+        double sigma = 0.0;
+        for (std::uint32_t v = begin; v < end; ++v) {
+          sigma += term[claim_sources[v]];
         }
-      }
-    } else {
-      for (std::size_t f = 0; f < m; ++f) {
-        const ItemId item = ws.frontier_[f];
-        const std::size_t n = c.item_num_claims(item);
-        double* out = scores + ws.frontier_offsets_[f];
-        for (std::size_t k = 0; k < n; ++k) {
-          const std::uint32_t g = c.global_claim_id(item, k);
-          double sigma = 0.0;
-          c.ForEachClaimSource(g, [&](SourceId j) { sigma += term[j]; });
-          out[k] = sigma;
-        }
+        out[k] = sigma;
       }
     }
   }
@@ -352,12 +300,9 @@ void DeltaFusionEngine::RecomputeItems(Workspace& ws) const {
     const std::size_t off = ws.frontier_offsets_[f];
     const std::size_t n = ws.frontier_offsets_[f + 1] - off;
     const double* p = probs + off;
-    const bool item_flat = c.item_claims_flat(item);
     const std::uint32_t g = c.claim_offset(item);
     c.ForEachItemVote(item, [&](SourceId j, ClaimIndex k) {
-      const std::uint32_t gk =
-          item_flat ? g + k : c.global_claim_id(item, k);
-      const double dp = p[k] - ws.prob_[gk];
+      const double dp = p[k] - ws.prob_[g + k];
       if (dp == 0.0) return;
       ws.sum_[j] += dp;
       if (ws.source_touch_tick_[j] != ws.ticket_) {
@@ -365,13 +310,7 @@ void DeltaFusionEngine::RecomputeItems(Workspace& ws) const {
         ws.touched_sources_.push_back(j);
       }
     });
-    if (item_flat) {
-      for (std::size_t k = 0; k < n; ++k) ws.prob_[g + k] = p[k];
-    } else {
-      for (std::size_t k = 0; k < n; ++k) {
-        ws.prob_[c.global_claim_id(item, k)] = p[k];
-      }
-    }
+    for (std::size_t k = 0; k < n; ++k) ws.prob_[g + k] = p[k];
     ws.item_entropy_[item] = ws.frontier_entropy_[f];
   }
 }
@@ -466,10 +405,10 @@ double DeltaFusionEngine::EntropyAfterExactPin(
   lookahead_pins->Add(1);
   const CompiledDatabase& c = *compiled_;
   // Epoch guard: the base flattened a particular view generation; an ingest
-  // batch (or compaction) since then moved claim/vote addresses under it.
-  // Using it would read through the stale layout, so fail loudly in debug
-  // and degrade to "no information" (the unpinned entropy) in release —
-  // never a silently wrong lookahead score.
+  // batch (or Compact) since then rebuilt the view under it. Using it would
+  // read through the stale layout, so fail loudly in debug and degrade to
+  // "no information" (the unpinned entropy) in release — never a silently
+  // wrong lookahead score.
   if (base.epoch != c.epoch()) {
     assert(false && "EntropyAfterExactPin on a stale base state");
     StaleViewCounter()->Add(1);
@@ -501,17 +440,8 @@ double DeltaFusionEngine::EntropyAfterExactPin(
   // Restore the touched entries so the workspace mirrors the base again.
   for (ItemId i : ws.touched_items_) {
     const std::size_t ni = c.item_num_claims(i);
-    if (c.item_claims_flat(i)) {
-      const std::uint32_t g = c.claim_offset(i);
-      for (std::size_t k = 0; k < ni; ++k) {
-        ws.prob_[g + k] = base.probs[g + k];
-      }
-    } else {
-      for (std::size_t k = 0; k < ni; ++k) {
-        const std::uint32_t gk = c.global_claim_id(i, k);
-        ws.prob_[gk] = base.probs[gk];
-      }
-    }
+    const std::uint32_t g = c.claim_offset(i);
+    for (std::size_t k = 0; k < ni; ++k) ws.prob_[g + k] = base.probs[g + k];
     ws.item_entropy_[i] = base.item_entropy[i];
   }
   for (SourceId j : ws.touched_sources_) {

@@ -12,27 +12,15 @@
 // Claims are addressed by a global claim id g = claim_offset(i) + k, so a
 // probability table indexed by g is a single flat array.
 //
-// Streaming appends (LSM-style): the base CSR arrays above stay immutable
-// between compactions; each Append() batch lands in small per-entity tail
-// segments layered behind the same logical view —
-//   * new claims get global ids past the base range (per-item tail lists
-//     keep the local-index -> global-id mapping),
-//   * new votes go to per-claim / per-item / per-source tail lists,
-//   * a revision (source changes its value on an item) rewrites the vote's
-//     claim in place in the item/source indexes (the CSR slot survives, only
-//     the claim changes) and tombstones the old claim->sources entry.
-// Readers iterate base + tail through the ForEach* helpers; a flat view
-// (no appends since the last compaction) degenerates to the tight base
-// loops. Every Append bumps the epoch; readers that flattened the view
-// (DeltaFusionEngine base states) pin the epoch they saw and fail loudly on
-// mismatch instead of reading a half-visible tail. Compact() folds the tails
-// back into a fresh base (also bumping the epoch, since tail addresses die).
+// A view that follows a growing database (StreamingDatabase) is rebuilt in
+// place from the Database after every batch that changed it. Every Rebuild
+// bumps the epoch; readers that derived positional state from the view
+// (DeltaFusionEngine base states, shard partitions) pin the epoch they saw
+// and fail loudly on mismatch instead of reading through a moved layout.
 #ifndef VERITAS_MODEL_COMPILED_DATABASE_H_
 #define VERITAS_MODEL_COMPILED_DATABASE_H_
 
 #include <cstdint>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "model/database.h"
@@ -41,32 +29,8 @@
 
 namespace veritas {
 
-/// One batch of structural changes for CompiledDatabase::Append. Produced by
-/// StreamingDatabase::AppendBatch *after* the same operations were applied
-/// to the underlying Database (new item/source/claim counts are read off the
-/// Database directly).
-struct CompiledDelta {
-  /// Claims created this batch, in global-id assignment order (which is also
-  /// per-item local-index order).
-  struct NewClaim {
-    ItemId item = kInvalidItem;
-  };
-  /// One vote operation. `old_claim == kInvalidClaim` means a fresh vote;
-  /// otherwise the source revised its vote from `old_claim` to `new_claim`
-  /// (both local indices of `item`).
-  struct VoteOp {
-    SourceId source = kInvalidSource;
-    ItemId item = kInvalidItem;
-    ClaimIndex old_claim = kInvalidClaim;
-    ClaimIndex new_claim = kInvalidClaim;
-  };
-  std::vector<NewClaim> new_claims;
-  std::vector<VoteOp> votes;
-};
-
-/// Flat-array view of a Database with append tails. The Database must
-/// outlive it only for construction/Append/Compact calls; the view owns all
-/// its arrays.
+/// Flat-array view of a Database. The Database must outlive it only for
+/// construction/Rebuild calls; the view owns all its arrays.
 class CompiledDatabase {
  public:
   explicit CompiledDatabase(const Database& db);
@@ -77,80 +41,37 @@ class CompiledDatabase {
   std::size_t num_observations() const { return num_observations_; }
 
   // ---------------------------------------------------------------------
-  // Epoch / segment lifecycle.
+  // Epoch.
 
-  /// Monotonic view generation: bumped by every Append and every Compact.
+  /// Monotonic view generation: bumped by every Rebuild.
   std::uint64_t epoch() const { return epoch_; }
   /// OK when the view still is at `expected`; FailedPrecondition otherwise.
   /// Readers that flattened the view at some epoch call this before touching
   /// positional state derived from it (see DeltaFusionEngine::BaseState).
   Status CheckEpoch(std::uint64_t expected) const;
 
-  /// Appends one batch. `db` must already contain the batch (Append only
-  /// reads per-entity metadata from it); `delta` lists the structural
-  /// operations in application order. Bumps the epoch.
-  void Append(const Database& db, const CompiledDelta& delta);
-
-  /// Rebuilds the base CSR from `db` and drops all tails. Bumps the epoch
-  /// (tail addresses die) and the compaction counter.
-  void Compact(const Database& db);
-
-  /// True when there are no tail segments (pure base CSR view).
-  bool flat() const {
-    return tail_observations_ == 0 && num_claims_ == base_claims_ &&
-           num_items_ == base_items_ && num_sources_ == base_sources_ &&
-           tombstones_ == 0;
-  }
-  /// Vote entries living in tail segments (fresh appends since compaction).
-  std::size_t tail_observations() const { return tail_observations_; }
-  /// Tombstoned base claim->sources entries (revisions of base votes).
-  std::size_t tombstones() const { return tombstones_; }
-  /// Compactions performed over the lifetime of this view.
-  std::uint64_t compactions() const { return compactions_; }
+  /// Rebuilds every array from `db` in place and bumps the epoch (ids of
+  /// claims and CSR slots may all have moved).
+  void Rebuild(const Database& db);
 
   // ---------------------------------------------------------------------
   // Item / claim addressing.
 
-  /// Global claim id of claim 0 of item i *in the base segment*. Valid for
-  /// every live item (new items have an empty base range). For items with
-  /// tail claims use global_claim_id().
+  /// Global claim id of claim 0 of item i; its claims are the contiguous run
+  /// [claim_offset(i), claim_offset(i) + item_num_claims(i)).
   std::uint32_t claim_offset(ItemId i) const { return claim_offsets_[i]; }
   std::size_t item_num_claims(ItemId i) const {
-    std::size_t n = claim_offsets_[i + 1] - claim_offsets_[i];
-    if (!tail_item_claims_.empty()) {
-      const auto it = tail_item_claims_.find(i);
-      if (it != tail_item_claims_.end()) n += it->second.size();
-    }
-    return n;
-  }
-  /// Claims of item i that live in the base segment (prefix of the local
-  /// index range; tail claims follow).
-  std::size_t item_base_claims(ItemId i) const {
     return claim_offsets_[i + 1] - claim_offsets_[i];
   }
-  /// True when item i's global claim ids are the contiguous base run
-  /// [claim_offset(i), claim_offset(i) + item_num_claims(i)).
-  bool item_claims_flat(ItemId i) const {
-    return tail_item_claims_.empty() || tail_item_claims_.count(i) == 0;
-  }
-  /// Global claim id of claim k of item i, base or tail.
-  std::uint32_t global_claim_id(ItemId i, std::size_t k) const {
-    const std::size_t base = item_base_claims(i);
-    if (k < base) return claim_offsets_[i] + static_cast<std::uint32_t>(k);
-    return tail_item_claims_.at(i)[k - base];
-  }
   /// ln(|V_i| - 1) — the false-value factor of Accu's Eq. (1); 0 for
-  /// single-claim items (never used there). Tracks the live claim count.
+  /// single-claim items (never used there).
   double log_false_values(ItemId i) const { return log_false_values_[i]; }
 
   // ---------------------------------------------------------------------
-  // Base CSR ranges. These address the *base segment only*; they stay valid
-  // for every live id (appended entities have empty base ranges) and are the
-  // whole story when flat(). Tail-aware readers use the ForEach helpers.
+  // CSR ranges.
 
   /// Sources voting for global claim g: [claim_sources_begin(g),
-  /// claim_sources_end(g)) into claim_sources(). Tombstoned entries are
-  /// only distinguishable through ForEachClaimSource / claim_num_sources.
+  /// claim_sources_end(g)) into claim_sources().
   std::uint32_t claim_sources_begin(std::uint32_t g) const {
     return claim_source_offsets_[g];
   }
@@ -190,133 +111,51 @@ class CompiledDatabase {
     return source_vote_claims_;
   }
 
-  /// N(s_j): number of items source j votes on (base + tail; revisions do
-  /// not change it).
+  /// N(s_j): number of items source j votes on.
   std::size_t source_degree(SourceId j) const {
-    std::size_t n = source_vote_offsets_[j + 1] - source_vote_offsets_[j];
-    if (!tail_source_votes_.empty()) {
-      const auto it = tail_source_votes_.find(j);
-      if (it != tail_source_votes_.end()) n += it->second.size();
-    }
-    return n;
+    return source_vote_offsets_[j + 1] - source_vote_offsets_[j];
   }
 
   // ---------------------------------------------------------------------
-  // Tail-aware iteration. Base entries come first (tombstones skipped),
-  // then the tail in append order. When flat() these devolve to the tight
-  // base loops plus one emptiness check per call.
-
-  /// Live number of sources voting for global claim g.
-  std::size_t claim_num_sources(std::uint32_t g) const {
-    std::size_t n = claim_source_offsets_[g + 1] - claim_source_offsets_[g];
-    if (!removed_claim_sources_.empty()) {
-      const auto it = removed_claim_sources_.find(g);
-      if (it != removed_claim_sources_.end()) n -= it->second;
-    }
-    if (!tail_claim_sources_.empty()) {
-      const auto it = tail_claim_sources_.find(g);
-      if (it != tail_claim_sources_.end()) n += it->second.size();
-    }
-    return n;
-  }
-
-  /// f(SourceId) for every live source voting for global claim g.
-  template <typename F>
-  void ForEachClaimSource(std::uint32_t g, F&& f) const {
-    const std::uint32_t begin = claim_source_offsets_[g];
-    const std::uint32_t end = claim_source_offsets_[g + 1];
-    if (claim_source_dead_.empty()) {
-      for (std::uint32_t v = begin; v < end; ++v) f(claim_sources_[v]);
-    } else {
-      for (std::uint32_t v = begin; v < end; ++v) {
-        if (!claim_source_dead_[v]) f(claim_sources_[v]);
-      }
-    }
-    if (!tail_claim_sources_.empty()) {
-      const auto it = tail_claim_sources_.find(g);
-      if (it != tail_claim_sources_.end()) {
-        for (const SourceId j : it->second) f(j);
-      }
-    }
-  }
+  // Range iteration.
 
   /// f(SourceId, ClaimIndex /*local*/) for every vote on item i.
   template <typename F>
   void ForEachItemVote(ItemId i, F&& f) const {
-    const std::uint32_t begin = item_vote_offsets_[i];
-    const std::uint32_t end = item_vote_offsets_[i + 1];
-    for (std::uint32_t v = begin; v < end; ++v) {
+    for (std::uint32_t v = item_vote_offsets_[i]; v < item_vote_offsets_[i + 1];
+         ++v) {
       f(item_vote_sources_[v], item_vote_claims_[v]);
-    }
-    if (!tail_item_votes_.empty()) {
-      const auto it = tail_item_votes_.find(i);
-      if (it != tail_item_votes_.end()) {
-        for (const auto& [source, claim] : it->second) f(source, claim);
-      }
     }
   }
 
   /// f(ItemId, std::uint32_t /*global claim id*/) for every vote by source j.
   template <typename F>
   void ForEachSourceVote(SourceId j, F&& f) const {
-    const std::uint32_t begin = source_vote_offsets_[j];
-    const std::uint32_t end = source_vote_offsets_[j + 1];
-    for (std::uint32_t v = begin; v < end; ++v) {
+    for (std::uint32_t v = source_vote_offsets_[j];
+         v < source_vote_offsets_[j + 1]; ++v) {
       f(source_vote_items_[v], source_vote_claims_[v]);
-    }
-    if (!tail_source_votes_.empty()) {
-      const auto it = tail_source_votes_.find(j);
-      if (it != tail_source_votes_.end()) {
-        for (const auto& [item, g] : it->second) f(item, g);
-      }
     }
   }
 
  private:
-  void BuildBase(const Database& db);
+  void Build(const Database& db);
 
   std::size_t num_items_ = 0;
   std::size_t num_sources_ = 0;
   std::size_t num_claims_ = 0;
   std::size_t num_observations_ = 0;
+  std::uint64_t epoch_ = 0;
 
-  // Base CSR. Offsets are extended with empty ranges for entities appended
-  // after the last compaction, so every live id is indexable.
   std::vector<std::uint32_t> claim_offsets_;         // num_items + 1
   std::vector<double> log_false_values_;             // num_items
   std::vector<std::uint32_t> claim_source_offsets_;  // num_claims + 1
-  std::vector<SourceId> claim_sources_;              // base observations
+  std::vector<SourceId> claim_sources_;              // num_observations
   std::vector<std::uint32_t> item_vote_offsets_;     // num_items + 1
-  std::vector<SourceId> item_vote_sources_;          // base observations
-  std::vector<ClaimIndex> item_vote_claims_;         // base observations
+  std::vector<SourceId> item_vote_sources_;          // num_observations
+  std::vector<ClaimIndex> item_vote_claims_;         // num_observations
   std::vector<std::uint32_t> source_vote_offsets_;   // num_sources + 1
-  std::vector<ItemId> source_vote_items_;            // base observations
-  std::vector<std::uint32_t> source_vote_claims_;    // base observations
-
-  // Segment bookkeeping.
-  std::uint64_t epoch_ = 0;
-  std::uint64_t compactions_ = 0;
-  std::size_t base_items_ = 0;
-  std::size_t base_sources_ = 0;
-  std::size_t base_claims_ = 0;
-  std::size_t tail_observations_ = 0;
-  std::size_t tombstones_ = 0;
-
-  // Tail segments (empty when flat()).
-  // item -> global ids of its tail claims, in local-index order.
-  std::unordered_map<ItemId, std::vector<std::uint32_t>> tail_item_claims_;
-  // global claim id -> tail sources (append order).
-  std::unordered_map<std::uint32_t, std::vector<SourceId>> tail_claim_sources_;
-  // Tombstones for base claim->sources entries removed by revisions:
-  // parallel dead-bit array (lazily sized) + per-claim removed counts.
-  std::vector<std::uint8_t> claim_source_dead_;
-  std::unordered_map<std::uint32_t, std::uint32_t> removed_claim_sources_;
-  // item -> tail votes (source, local claim).
-  std::unordered_map<ItemId, std::vector<std::pair<SourceId, ClaimIndex>>>
-      tail_item_votes_;
-  // source -> tail votes (item, global claim id).
-  std::unordered_map<SourceId, std::vector<std::pair<ItemId, std::uint32_t>>>
-      tail_source_votes_;
+  std::vector<ItemId> source_vote_items_;            // num_observations
+  std::vector<std::uint32_t> source_vote_claims_;    // num_observations
 };
 
 }  // namespace veritas

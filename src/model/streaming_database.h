@@ -1,19 +1,20 @@
 // Streaming ingestion: a StreamingDatabase owns a Database plus its
 // CompiledDatabase view and appends (source, item, value) observations in
-// batches without rebuilding either. Each batch
+// batches. Each batch
+//   * is validated whole before anything is applied (a rejected batch leaves
+//     the database, the view, the totals and the epoch untouched),
 //   * mutates the Database in place (new items/sources/claims on demand,
 //     every sorted invariant preserved, last-write-wins revisions),
-//   * forwards the structural delta to CompiledDatabase::Append so the flat
-//     view grows a tail segment and bumps its epoch,
-//   * records which items/sources changed so an incremental fusion engine
-//     can seed its frontier from exactly the dirty set.
+//   * rebuilds the flat view in place when anything changed, which bumps
+//     its epoch (a batch of pure duplicates keeps it),
+//   * records which items/sources changed since the last TakeDirty.
 // Readers holding `db()` / `compiled()` references stay valid across batches
-// (ingest only appends or rewrites in place); positional state *derived*
-// from the view must pin the epoch it saw (see CompiledDatabase::CheckEpoch).
+// (both objects are updated in place); positional state *derived* from the
+// view must pin the epoch it saw (see CompiledDatabase::CheckEpoch).
 //
-// Single-writer: AppendBatch/CompactIfNeeded must not race with readers.
-// The feedback session interleaves ingest ticks with validation rounds on
-// one thread; parallel lookahead workers only run between ticks.
+// Single-writer: AppendBatch/Compact must not race with readers. The
+// feedback session interleaves ingest ticks with validation rounds on one
+// thread; parallel lookahead workers only run between ticks.
 #ifndef VERITAS_MODEL_STREAMING_DATABASE_H_
 #define VERITAS_MODEL_STREAMING_DATABASE_H_
 
@@ -90,19 +91,10 @@ struct IngestStats {
   std::size_t new_claims = 0;
 };
 
-struct StreamingOptions {
-  /// Compact when tail entries (tail votes + tombstones) exceed this
-  /// fraction of total observations...
-  double compact_tail_fraction = 0.25;
-  /// ...but never before the tail has at least this many entries (small
-  /// databases would otherwise compact on every batch).
-  std::size_t min_tail_before_compact = 256;
-};
-
 /// Owner of a Database + CompiledDatabase pair that grows by appends.
 class StreamingDatabase {
  public:
-  explicit StreamingDatabase(Database db, StreamingOptions options = {});
+  explicit StreamingDatabase(Database db);
 
   const Database& db() const { return db_; }
   const CompiledDatabase& compiled() const { return compiled_; }
@@ -110,14 +102,11 @@ class StreamingDatabase {
 
   /// Applies one batch of observations (truth rows in the batch are ignored
   /// here — callers apply them). Returns per-batch counts. Fails only on
-  /// malformed input (empty source/item names).
+  /// malformed input (empty source/item/value), and then applies nothing.
   Result<IngestStats> AppendBatch(const IngestBatch& batch);
 
-  /// Folds tail segments into a fresh base when the tail outgrew the policy
-  /// in StreamingOptions. Returns true when a compaction ran (epoch bumped,
-  /// all derived positional state is stale).
-  bool CompactIfNeeded();
-  /// Unconditional compaction (testing / shutdown).
+  /// Rebuilds the view from the database and bumps the epoch even when
+  /// nothing changed.
   void Compact();
 
   /// Moves the accumulated dirty sets (sorted, unique) out, clearing them.
@@ -128,18 +117,12 @@ class StreamingDatabase {
   /// Lifetime totals across all batches.
   const IngestStats& totals() const { return totals_; }
 
-  /// Compaction policy. Replacing it takes effect at the next
-  /// CompactIfNeeded; sessions apply StreamingSessionConfig::compaction here.
-  const StreamingOptions& options() const { return options_; }
-  void set_options(StreamingOptions options) { options_ = options; }
-
  private:
   ItemId InternItem(const std::string& name, IngestStats* stats);
   SourceId InternSource(const std::string& name, IngestStats* stats);
 
   Database db_;
   CompiledDatabase compiled_;
-  StreamingOptions options_;
   IngestStats totals_;
   std::unordered_set<ItemId> dirty_items_;
   std::unordered_set<SourceId> dirty_sources_;

@@ -4,8 +4,8 @@
 // database by the batch's new items, claims and sources) must land on the
 // same fixed point as a cold full Fuse over the final database — per claim
 // probability, per source accuracy, and total entropy — for every model the
-// lookahead engine supports, including across compactions and with pins held
-// through epochs. The lookahead engine's stale-view guard is checked here
+// lookahead engine supports, including across an explicit Compact() and with
+// pins held through epochs. The lookahead engine's stale-view guard is checked here
 // too. Lives in the concurrency binary so the read-only-lookahead-between-
 // appends test runs under ThreadSanitizer in CI.
 #include <cstdint>
@@ -134,7 +134,7 @@ TEST_P(AppendEquivalenceTest, PinsSurviveAppendsAndCompaction) {
     ++ticks;
     if (ticks == 2) {
       // Validate the first conflicting item one-hot on its first claim,
-      // mid-stream, then keep streaming across a compaction.
+      // mid-stream, then keep streaming across an explicit Compact().
       for (ItemId i = 0; i < stream.db().num_items(); ++i) {
         if (stream.db().HasConflict(i)) {
           pinned = i;

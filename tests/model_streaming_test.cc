@@ -1,10 +1,10 @@
-// Streaming ingestion: epoch-based CSR appends (model/streaming_database)
-// plus the synthetic stream generator that feeds them. The structural
-// invariant under test everywhere: a view grown by appends answers every
-// query exactly like a fresh CompiledDatabase over the same Database.
+// Streaming ingestion (model/streaming_database) plus the synthetic stream
+// generator that feeds it. The structural invariant under test everywhere:
+// after every batch the stream's view is array-for-array a fresh
+// CompiledDatabase over the same Database, and its epoch moved exactly when
+// the batch changed something.
 #include "model/streaming_database.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -32,63 +32,44 @@ IngestBatch BatchOf(std::vector<StreamObservation> obs) {
   return batch;
 }
 
-/// Asserts that `view` (possibly carrying tail segments and tombstones)
-/// answers structurally identically to a freshly compiled view of `db`.
-/// Claim identity is compared through (item, local claim index), which both
-/// views share with the Database; global ids may legitimately differ.
-void ExpectViewMatchesFresh(const CompiledDatabase& view, const Database& db) {
-  const CompiledDatabase fresh(db);
+/// Asserts that the stream's view holds exactly the arrays a fresh
+/// CompiledDatabase over its database would hold.
+void ExpectViewMatchesFresh(const StreamingDatabase& stream) {
+  const CompiledDatabase& view = stream.compiled();
+  const CompiledDatabase fresh(stream.db());
   ASSERT_EQ(view.num_items(), fresh.num_items());
   ASSERT_EQ(view.num_sources(), fresh.num_sources());
   ASSERT_EQ(view.num_claims(), fresh.num_claims());
   ASSERT_EQ(view.num_observations(), fresh.num_observations());
 
-  for (ItemId i = 0; i < db.num_items(); ++i) {
-    ASSERT_EQ(view.item_num_claims(i), db.num_claims(i)) << "item " << i;
-    for (std::size_t k = 0; k < db.num_claims(i); ++k) {
-      const std::uint32_t gv = view.global_claim_id(i, k);
-      const std::uint32_t gf = fresh.global_claim_id(i, k);
-      EXPECT_EQ(view.claim_num_sources(gv), fresh.claim_num_sources(gf))
-          << "item " << i << " claim " << k;
-      std::vector<SourceId> sv, sf;
-      view.ForEachClaimSource(gv, [&](SourceId s) { sv.push_back(s); });
-      fresh.ForEachClaimSource(gf, [&](SourceId s) { sf.push_back(s); });
-      std::sort(sv.begin(), sv.end());
-      std::sort(sf.begin(), sf.end());
-      EXPECT_EQ(sv, sf) << "item " << i << " claim " << k;
-    }
-    std::vector<std::pair<SourceId, ClaimIndex>> vv, vf;
-    view.ForEachItemVote(
-        i, [&](SourceId s, ClaimIndex k) { vv.emplace_back(s, k); });
-    fresh.ForEachItemVote(
-        i, [&](SourceId s, ClaimIndex k) { vf.emplace_back(s, k); });
-    std::sort(vv.begin(), vv.end());
-    std::sort(vf.begin(), vf.end());
-    EXPECT_EQ(vv, vf) << "item " << i;
+  for (ItemId i = 0; i < fresh.num_items(); ++i) {
+    EXPECT_EQ(view.claim_offset(i), fresh.claim_offset(i)) << "item " << i;
+    EXPECT_EQ(view.item_num_claims(i), fresh.item_num_claims(i))
+        << "item " << i;
+    EXPECT_EQ(view.log_false_values(i), fresh.log_false_values(i))
+        << "item " << i;
+    EXPECT_EQ(view.item_votes_begin(i), fresh.item_votes_begin(i))
+        << "item " << i;
+    EXPECT_EQ(view.item_votes_end(i), fresh.item_votes_end(i)) << "item " << i;
   }
-
-  for (SourceId j = 0; j < db.num_sources(); ++j) {
-    ASSERT_EQ(view.source_degree(j), fresh.source_degree(j)) << "source " << j;
-    // Compare source votes as (item, local claim) — global ids differ when
-    // the view holds tail claims.
-    const auto to_local = [&db](const CompiledDatabase& c, ItemId i,
-                                std::uint32_t g) -> ClaimIndex {
-      for (std::size_t k = 0; k < db.num_claims(i); ++k) {
-        if (c.global_claim_id(i, k) == g) return static_cast<ClaimIndex>(k);
-      }
-      return kInvalidClaim;
-    };
-    std::vector<std::pair<ItemId, ClaimIndex>> vv, vf;
-    view.ForEachSourceVote(j, [&](ItemId i, std::uint32_t g) {
-      vv.emplace_back(i, to_local(view, i, g));
-    });
-    fresh.ForEachSourceVote(j, [&](ItemId i, std::uint32_t g) {
-      vf.emplace_back(i, to_local(fresh, i, g));
-    });
-    std::sort(vv.begin(), vv.end());
-    std::sort(vf.begin(), vf.end());
-    EXPECT_EQ(vv, vf) << "source " << j;
+  for (std::uint32_t g = 0; g < fresh.num_claims(); ++g) {
+    EXPECT_EQ(view.claim_sources_begin(g), fresh.claim_sources_begin(g))
+        << "claim " << g;
+    EXPECT_EQ(view.claim_sources_end(g), fresh.claim_sources_end(g))
+        << "claim " << g;
   }
+  for (SourceId j = 0; j < fresh.num_sources(); ++j) {
+    EXPECT_EQ(view.source_votes_begin(j), fresh.source_votes_begin(j))
+        << "source " << j;
+    EXPECT_EQ(view.source_votes_end(j), fresh.source_votes_end(j))
+        << "source " << j;
+    EXPECT_EQ(view.source_degree(j), fresh.source_degree(j)) << "source " << j;
+  }
+  EXPECT_EQ(view.claim_sources(), fresh.claim_sources());
+  EXPECT_EQ(view.item_vote_sources(), fresh.item_vote_sources());
+  EXPECT_EQ(view.item_vote_claims(), fresh.item_vote_claims());
+  EXPECT_EQ(view.source_vote_items(), fresh.source_vote_items());
+  EXPECT_EQ(view.source_vote_claims(), fresh.source_vote_claims());
 }
 
 Database SeedDb() {
@@ -118,7 +99,6 @@ TEST(StreamingDatabaseTest, AppendBatchCountsAndDirtySets) {
   EXPECT_EQ(stats.new_sources, 2u);
   EXPECT_EQ(stats.new_claims, 1u);
   EXPECT_EQ(stream.epoch(), 1u);
-  EXPECT_FALSE(stream.compiled().flat());
 
   std::vector<ItemId> dirty_items;
   std::vector<SourceId> dirty_sources;
@@ -137,7 +117,7 @@ TEST(StreamingDatabaseTest, AppendBatchCountsAndDirtySets) {
   EXPECT_TRUE(dirty_items.empty());
   EXPECT_TRUE(dirty_sources.empty());
 
-  ExpectViewMatchesFresh(stream.compiled(), stream.db());
+  ExpectViewMatchesFresh(stream);
 }
 
 TEST(StreamingDatabaseTest, PureDuplicateBatchKeepsEpoch) {
@@ -148,7 +128,6 @@ TEST(StreamingDatabaseTest, PureDuplicateBatchKeepsEpoch) {
   EXPECT_EQ(stats_or.value().duplicates, 2u);
   // No structural change: derived positional state must stay valid.
   EXPECT_EQ(stream.epoch(), 0u);
-  EXPECT_TRUE(stream.compiled().flat());
 }
 
 TEST(StreamingDatabaseTest, EmptyNamesRejected) {
@@ -157,6 +136,35 @@ TEST(StreamingDatabaseTest, EmptyNamesRejected) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(stream.AppendBatch(BatchOf({Obs("s1", "", "a")})).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(StreamingDatabaseTest, RejectedBatchAppliesNothing) {
+  StreamingDatabase stream(SeedDb());
+  const std::size_t items = stream.db().num_items();
+  const std::size_t sources = stream.db().num_sources();
+  const std::size_t observations = stream.db().num_observations();
+  const std::uint64_t epoch = stream.epoch();
+
+  // The valid first observation would add a source, an item and a vote; the
+  // second is malformed, so the whole batch must be rejected up front.
+  const auto result = stream.AppendBatch(
+      BatchOf({Obs("s9", "o7", "v"), Obs("", "o1", "a")}));
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+
+  EXPECT_EQ(stream.db().num_items(), items);
+  EXPECT_EQ(stream.db().num_sources(), sources);
+  EXPECT_EQ(stream.db().num_observations(), observations);
+  EXPECT_FALSE(stream.db().FindItem("o7").ok());
+  EXPECT_EQ(stream.epoch(), epoch);
+  const IngestStats& totals = stream.totals();
+  EXPECT_EQ(totals.fresh + totals.revisions + totals.duplicates, 0u);
+  EXPECT_EQ(totals.new_items + totals.new_sources + totals.new_claims, 0u);
+  std::vector<ItemId> dirty_items;
+  std::vector<SourceId> dirty_sources;
+  stream.TakeDirty(&dirty_items, &dirty_sources);
+  EXPECT_TRUE(dirty_items.empty());
+  EXPECT_TRUE(dirty_sources.empty());
+  ExpectViewMatchesFresh(stream);
 }
 
 TEST(StreamingDatabaseTest, CheckEpochFailsLoudlyOnStaleViews) {
@@ -169,7 +177,7 @@ TEST(StreamingDatabaseTest, CheckEpochFailsLoudlyOnStaleViews) {
   EXPECT_TRUE(stream.compiled().CheckEpoch(stream.epoch()).ok());
 }
 
-TEST(StreamingDatabaseTest, CompactFoldsTailsAndBumpsEpoch) {
+TEST(StreamingDatabaseTest, CompactRebuildsViewAndBumpsEpoch) {
   StreamingDatabase stream(SeedDb());
   ASSERT_TRUE(stream
                   .AppendBatch(BatchOf({Obs("s3", "o2", "y"),
@@ -178,44 +186,66 @@ TEST(StreamingDatabaseTest, CompactFoldsTailsAndBumpsEpoch) {
                   .ok());
   const std::uint64_t epoch_before = stream.epoch();
   const std::size_t obs_before = stream.compiled().num_observations();
-  EXPECT_FALSE(stream.compiled().flat());
 
   stream.Compact();
-  EXPECT_TRUE(stream.compiled().flat());
-  EXPECT_EQ(stream.compiled().tail_observations(), 0u);
-  EXPECT_EQ(stream.compiled().tombstones(), 0u);
-  EXPECT_EQ(stream.compiled().compactions(), 1u);
   EXPECT_EQ(stream.epoch(), epoch_before + 1);
   EXPECT_EQ(stream.compiled().num_observations(), obs_before);
-  ExpectViewMatchesFresh(stream.compiled(), stream.db());
-}
-
-TEST(StreamingDatabaseTest, CompactIfNeededHonorsPolicy) {
-  StreamingOptions opts;
-  opts.min_tail_before_compact = 2;
-  opts.compact_tail_fraction = 0.25;
-  StreamingDatabase stream(SeedDb(), opts);
-  // One tail vote: below min tail.
-  ASSERT_TRUE(stream.AppendBatch(BatchOf({Obs("s3", "o1", "a")})).ok());
-  EXPECT_FALSE(stream.CompactIfNeeded());
-  // Second tail vote: 2 tail / 5 total = 0.4 >= 0.25 -> compacts.
-  ASSERT_TRUE(stream.AppendBatch(BatchOf({Obs("s4", "o1", "b")})).ok());
-  EXPECT_TRUE(stream.CompactIfNeeded());
-  EXPECT_TRUE(stream.compiled().flat());
+  ExpectViewMatchesFresh(stream);
 }
 
 TEST(StreamingDatabaseTest, RevisionChainsStayConsistent) {
   // Repeated last-write-wins flips across batches, including revising a
-  // tail vote and revising back to the original claim.
+  // vote streamed in earlier and revising back to the original claim.
   StreamingDatabase stream(SeedDb());
   ASSERT_TRUE(stream.AppendBatch(BatchOf({Obs("s3", "o1", "c")})).ok());
   ASSERT_TRUE(stream.AppendBatch(BatchOf({Obs("s3", "o1", "a")})).ok());
   ASSERT_TRUE(stream.AppendBatch(BatchOf({Obs("s2", "o1", "a")})).ok());
   ASSERT_TRUE(stream.AppendBatch(BatchOf({Obs("s2", "o1", "b")})).ok());
   EXPECT_EQ(stream.totals().revisions, 3u);
-  ExpectViewMatchesFresh(stream.compiled(), stream.db());
-  stream.Compact();
-  ExpectViewMatchesFresh(stream.compiled(), stream.db());
+  EXPECT_EQ(stream.epoch(), 4u);
+  ExpectViewMatchesFresh(stream);
+}
+
+// Replays generated streams with revisions batch by batch and checks the
+// view and the epoch contract after every batch: the epoch moves by one
+// exactly when the batch held a fresh vote or a revision.
+TEST(StreamingDatabaseTest, ViewMatchesFreshAfterEveryBatch) {
+  for (const bool dense : {true, false}) {
+    SCOPED_TRACE(dense ? "dense" : "longtail");
+    SyntheticDataset data;
+    if (dense) {
+      DenseConfig config;
+      config.num_items = 50;
+      config.num_sources = 14;
+      config.seed = 5;
+      config.emit_stream = true;
+      config.revision_fraction = 0.05;
+      data = GenerateDense(config);
+    } else {
+      LongTailConfig config;
+      config.num_items = 60;
+      config.num_sources = 15;
+      config.seed = 11;
+      config.emit_stream = true;
+      config.revision_fraction = 0.05;
+      data = GenerateLongTail(config);
+    }
+    StreamingDatabase stream{Database()};
+    VectorFeed feed(data.stream, {}, /*batch_size=*/23);
+    IngestBatch batch;
+    std::size_t batches = 0;
+    while (feed.Next(&batch)) {
+      const std::uint64_t epoch = stream.epoch();
+      const auto stats = stream.AppendBatch(batch);
+      ASSERT_TRUE(stats.ok()) << stats.status();
+      const bool changed = stats.value().fresh + stats.value().revisions > 0;
+      EXPECT_EQ(stream.epoch(), epoch + (changed ? 1 : 0));
+      ExpectViewMatchesFresh(stream);
+      ++batches;
+    }
+    EXPECT_GT(batches, 1u);
+    EXPECT_GT(stream.totals().revisions, 0u);
+  }
 }
 
 TEST(VectorFeedTest, TruthRowsRideTheBatchWhoseHorizonReachesThem) {
@@ -305,7 +335,7 @@ TEST(SyntheticStreamTest, ReplayReproducesTheBatchBuiltDatabase) {
     EXPECT_EQ(replayed.source(j).name, data.db.source(j).name);
     EXPECT_EQ(replayed.source(j).votes.size(), data.db.source(j).votes.size());
   }
-  ExpectViewMatchesFresh(stream.compiled(), replayed);
+  ExpectViewMatchesFresh(stream);
 }
 
 TEST(DatasetStatsTest, TruthReportFoldsIntoStats) {

@@ -20,7 +20,6 @@
 //                  [--oracle perfect] [--model accu]
 //                  [--no-delta]            full re-fusion for MEU lookaheads
 //                  [--deadline-ms N]
-//                  [--compact-tail-fraction 0.25] [--compact-min-tail 256]
 //                  [--json BENCH_fusion.json]   merge a replay_ingest record
 //                  [--metrics-out metrics.json]
 #include <algorithm>
@@ -64,25 +63,6 @@ Status RunReplay(const ArgMap& args) {
     return Status::InvalidArgument("--batch-obs must be >= 1");
   }
 
-  // Compaction policy: defaults match StreamingOptions, overridable so a
-  // sweep can force frequent (or suppress) tail folds.
-  StreamingOptions stream_opts;
-  VERITAS_ASSIGN_OR_RETURN(
-      stream_opts.compact_tail_fraction,
-      args.GetDouble("compact-tail-fraction",
-                     stream_opts.compact_tail_fraction));
-  VERITAS_ASSIGN_OR_RETURN(
-      long min_tail,
-      args.GetInt("compact-min-tail",
-                  static_cast<long>(stream_opts.min_tail_before_compact)));
-  if (stream_opts.compact_tail_fraction <= 0.0 ||
-      stream_opts.compact_tail_fraction > 1.0 || min_tail < 0) {
-    return Status::InvalidArgument(
-        "--compact-tail-fraction must be in (0, 1] and --compact-min-tail "
-        ">= 0");
-  }
-  stream_opts.min_tail_before_compact = static_cast<std::size_t>(min_tail);
-
   SyntheticDataset data;
   if (shape == "dense") {
     DenseConfig config;
@@ -117,7 +97,7 @@ Status RunReplay(const ArgMap& args) {
 
   // The session starts against an *empty* database; everything arrives
   // through the feed.
-  StreamingDatabase stream{Database(), stream_opts};
+  StreamingDatabase stream{Database()};
   GroundTruth truth(stream.db());
   VectorFeed feed(std::move(data.stream), std::move(data.truth_stream),
                   static_cast<std::size_t>(batch_obs));
@@ -138,7 +118,6 @@ Status RunReplay(const ArgMap& args) {
   options.streaming.stream = &stream;
   options.streaming.feed = &feed;
   options.streaming.truth = &truth;
-  options.streaming.compaction = stream_opts;
   // The perfect oracle hard-fails on unknown truth; with the filter on, an
   // item whose truth row has not streamed in yet simply waits its turn.
   options.streaming.require_known_truth = true;
@@ -170,7 +149,6 @@ Status RunReplay(const ArgMap& args) {
   std::size_t drained_batches = 0;
   while (feed.Next(&rest)) {
     VERITAS_RETURN_IF_ERROR(stream.AppendBatch(rest).status());
-    stream.CompactIfNeeded();
     ++drained_batches;
   }
   const double run_seconds = run_timer.ElapsedSeconds();
@@ -203,8 +181,6 @@ Status RunReplay(const ArgMap& args) {
   table.AddRow({"truths applied", std::to_string(trace.truths_applied)});
   table.AddRow({"truths still deferred",
                 std::to_string(trace.truths_deferred)});
-  table.AddRow({"compactions",
-                std::to_string(stream.compiled().compactions())});
   table.AddRow({"final epoch", std::to_string(stream.epoch())});
   table.AddRow({"items validated",
                 std::to_string(trace.steps.empty()
@@ -242,7 +218,6 @@ Status RunReplay(const ArgMap& args) {
         .Set("ingest_batches", trace.ingest_batches + drained_batches)
         .Set("observations_ingested", totals.fresh)
         .Set("revisions", totals.revisions)
-        .Set("compactions", stream.compiled().compactions())
         .Set("final_epoch", static_cast<std::size_t>(stream.epoch()))
         .Set("run_seconds", run_seconds)
         .Set("ingest_obs_per_second", ingest_rate)
