@@ -26,11 +26,12 @@ void RunPanel(const std::string& name, const SyntheticDataset& data) {
   AccuFusion model;
   FusionOptions opts;
   const FusionResult fusion = model.Fuse(data.db, opts);
-  const ItemGraph graph(data.db);
+  const CompiledDatabase compiled(data.db);
 
-  // Hop-1 neighbourhood marker reused across samples.
-  std::vector<ItemId> neighbors;
+  // Hop-distance marker reused across samples.
   std::vector<int> hop(data.db.num_items(), 2);
+  AccuracyDeltas deltas;
+  std::vector<double> estimated;
 
   RunningStats true_change_hop1, true_change_hop2;
   RunningStats est_error_hop1, est_error_hop2;
@@ -46,21 +47,23 @@ void RunPanel(const std::string& name, const SyntheticDataset& data) {
     validated_change.Add(1.0 - fusion.prob(validated, t));
 
     std::fill(hop.begin(), hop.end(), 2);
+    compiled.ForEachItemVote(validated, [&](SourceId s, ClaimIndex) {
+      compiled.ForEachSourceVote(s, [&](ItemId j, std::uint32_t) {
+        hop[j] = 1;
+      });
+    });
     hop[validated] = 0;
-    graph.CollectNeighbors(validated, &neighbors);
-    for (ItemId j : neighbors) hop[j] = 1;
 
     // True post-validation probabilities by re-fusing.
     PriorSet pinned;
     pinned.SetExact(data.db, validated, t);
     const FusionResult refused = model.Fuse(data.db, pinned, opts, &fusion);
     // Estimated ones by the differential formula.
-    const AccuracyDeltas deltas =
-        ComputeAccuracyDeltas(data.db, fusion, validated, t);
+    ComputeAccuracyDeltas(compiled, fusion, validated, t, &deltas);
 
     for (ItemId j = 0; j < data.db.num_items(); ++j) {
       if (j == validated || data.db.num_claims(j) < 2) continue;
-      const auto estimated = EstimateUpdatedProbs(data.db, fusion, j, deltas);
+      EstimateUpdatedProbs(compiled, fusion, j, deltas, &estimated);
       for (ClaimIndex k = 0; k < data.db.num_claims(j); ++k) {
         const double truth_move =
             std::fabs(refused.prob(j, k) - fusion.prob(j, k));

@@ -30,6 +30,7 @@ int main() {
   FusionOptions opts;
   PriorSet priors;
   const FusionResult fusion = model.Fuse(data.db, priors, opts);
+  const CompiledDatabase compiled(data.db);
 
   PrintBanner(std::cout,
               "Ablation — MEU lookahead: warm-started vs cold-started "
@@ -38,6 +39,7 @@ int main() {
 
   StrategyContext ctx;
   ctx.db = &data.db;
+  ctx.compiled = &compiled;
   ctx.fusion = &fusion;
   ctx.priors = &priors;
   ctx.model = &model;

@@ -62,7 +62,8 @@ void BM_MeuEntropyAfterPin(benchmark::State& state) {
   AccuFusion model;
   FusionOptions opts;
   const FusionResult warm = model.Fuse(data.db, opts);
-  const auto engine = DeltaFusionEngine::Create(data.db, model, opts);
+  const CompiledDatabase compiled(data.db);
+  const auto engine = DeltaFusionEngine::Create(compiled, model, opts);
   const DeltaFusionEngine::BaseState base = engine->PrepareBase(warm);
   DeltaFusionEngine::Workspace ws;
   const PriorSet priors;
@@ -136,7 +137,8 @@ int WriteJsonBaseline(const std::string& path) {
     AccuFusion model;
     FusionOptions opts;
     const FusionResult warm = model.Fuse(data.db, opts);
-    const auto engine = DeltaFusionEngine::Create(data.db, model, opts);
+    const CompiledDatabase compiled(data.db);
+    const auto engine = DeltaFusionEngine::Create(compiled, model, opts);
     const ItemId pin = data.db.ConflictingItems().front();
     PriorSet priors;
     priors.SetExact(data.db, pin, 0);

@@ -19,15 +19,15 @@ struct Fixture {
     config.density = 0.36;
     config.seed = 7;
     data = GenerateDense(config);
-    graph = std::make_unique<ItemGraph>(data.db);
+    compiled = std::make_unique<CompiledDatabase>(data.db);
     fusion = model.Fuse(data.db, opts);
     ctx.db = &data.db;
+    ctx.compiled = compiled.get();
     ctx.fusion = &fusion;
     ctx.priors = &priors;
     ctx.model = &model;
     ctx.fusion_opts = &opts;
     ctx.ground_truth = &data.truth;
-    ctx.graph = graph.get();
     ctx.rng = &rng;
   }
 
@@ -36,7 +36,7 @@ struct Fixture {
   FusionOptions opts;
   FusionResult fusion;
   PriorSet priors;
-  std::unique_ptr<ItemGraph> graph;
+  std::unique_ptr<CompiledDatabase> compiled;
   Rng rng{3};
   StrategyContext ctx;
 };
@@ -59,9 +59,12 @@ BENCHMARK_CAPTURE(BM_SelectNext, gub_100, "gub", 100);
 void BM_AccuracyDeltas(benchmark::State& state) {
   Fixture fixture(1000);
   const ItemId item = fixture.data.db.ConflictingItems().front();
+  AccuracyDeltas deltas;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ComputeAccuracyDeltas(fixture.data.db, fixture.fusion, item, 0));
+    ComputeAccuracyDeltas(*fixture.compiled, fixture.fusion, item, 0,
+                          &deltas);
+    benchmark::DoNotOptimize(deltas.delta.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_AccuracyDeltas);
@@ -70,28 +73,18 @@ void BM_EstimateUpdatedProbs(benchmark::State& state) {
   Fixture fixture(1000);
   const auto conflicting = fixture.data.db.ConflictingItems();
   const ItemId item = conflicting.front();
-  const AccuracyDeltas deltas =
-      ComputeAccuracyDeltas(fixture.data.db, fixture.fusion, item, 0);
+  AccuracyDeltas deltas;
+  ComputeAccuracyDeltas(*fixture.compiled, fixture.fusion, item, 0, &deltas);
   const ItemId neighbor = conflicting.back();
+  std::vector<double> updated;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        EstimateUpdatedProbs(fixture.data.db, fixture.fusion, neighbor,
-                             deltas));
+    EstimateUpdatedProbs(*fixture.compiled, fixture.fusion, neighbor, deltas,
+                         &updated);
+    benchmark::DoNotOptimize(updated.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_EstimateUpdatedProbs);
-
-void BM_CollectNeighbors(benchmark::State& state) {
-  Fixture fixture(2000);
-  std::vector<ItemId> scratch;
-  ItemId i = 0;
-  for (auto _ : state) {
-    fixture.graph->CollectNeighbors(i, &scratch);
-    benchmark::DoNotOptimize(scratch.data());
-    i = (i + 1) % static_cast<ItemId>(fixture.data.db.num_items());
-  }
-}
-BENCHMARK(BM_CollectNeighbors);
 
 }  // namespace
 

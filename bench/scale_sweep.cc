@@ -128,7 +128,8 @@ int RunSweep(const std::string& json_path, ScaleMode mode) {
     AccuFusion model;
     FusionOptions opts;
     const FusionResult base = model.Fuse(db, PriorSet(), opts);
-    const auto engine = DeltaFusionEngine::Create(db, model, opts);
+    const CompiledDatabase compiled(db);
+    const auto engine = DeltaFusionEngine::Create(compiled, model, opts);
     if (engine == nullptr) {
       std::cerr << "error: delta engine unavailable for accu\n";
       return 1;
@@ -137,6 +138,7 @@ int RunSweep(const std::string& json_path, ScaleMode mode) {
     const PriorSet priors;
     StrategyContext ctx;
     ctx.db = &db;
+    ctx.compiled = &compiled;
     ctx.fusion = &base;
     ctx.priors = &priors;
     ctx.model = &model;

@@ -45,15 +45,15 @@ int main() {
   }
 
   const PriorSet no_priors;
-  const ItemGraph graph(db);
+  const CompiledDatabase compiled(db);
   StrategyContext ctx;
   ctx.db = &db;
+  ctx.compiled = &compiled;
   ctx.fusion = &fused;
   ctx.priors = &no_priors;
   ctx.model = &model;
   ctx.fusion_opts = &opts;
   ctx.ground_truth = &truth;
-  ctx.graph = &graph;
   ctx.include_singletons = true;  // The paper's example scores O4 too.
 
   std::printf("\n== Table 6: exact MEU expected utilities EU* ==\n");

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 
 #include "fusion/accu.h"
 #include "obs/metrics.h"
@@ -19,51 +20,58 @@ double OddsDerivativeFactor(double accuracy) {
   return 1.0 / (a * (1.0 - a));
 }
 
-// g(v) per claim of item j: sum over affected sources voting for the claim of
-// dA(s) / (A(s)(1-A(s))). Unaffected sources contribute zero.
-std::vector<double> ComputeClaimG(const Database& db,
-                                  const FusionResult& fusion, ItemId j,
-                                  const AccuracyDeltas& deltas) {
-  std::vector<double> g(db.num_claims(j), 0.0);
-  for (const ItemVote& iv : db.item_votes(j)) {
-    auto it = deltas.find(iv.source);
-    if (it == deltas.end()) continue;
-    g[iv.claim] += it->second * OddsDerivativeFactor(fusion.accuracy(iv.source));
-  }
-  return g;
-}
-
 }  // namespace
 
-AccuracyDeltas ComputeAccuracyDeltas(const Database& db,
-                                     const FusionResult& fusion, ItemId item,
-                                     ClaimIndex true_claim) {
-  AccuracyDeltas deltas;
-  for (const ItemVote& iv : db.item_votes(item)) {
+void ComputeAccuracyDeltas(const CompiledDatabase& compiled,
+                           const FusionResult& fusion, ItemId item,
+                           ClaimIndex true_claim, AccuracyDeltas* deltas) {
+  if (deltas->delta.size() != compiled.num_sources()) {
+    deltas->delta.assign(compiled.num_sources(), 0.0);
+    deltas->g_weight.assign(compiled.num_sources(), 0.0);
+    deltas->voters.clear();
+  }
+  for (SourceId s : deltas->voters) {
+    deltas->delta[s] = 0.0;
+    deltas->g_weight[s] = 0.0;
+  }
+  deltas->voters.clear();
+  compiled.ForEachItemVote(item, [&](SourceId s, ClaimIndex claim) {
     // dp of the claim this source supports: 1-p for the validated claim,
     // -p for every other claim (§4.2.3).
-    const double p = fusion.prob(item, iv.claim);
-    const double dp = (iv.claim == true_claim) ? (1.0 - p) : (0.0 - p);
-    deltas[iv.source] =
-        dp / static_cast<double>(db.source_degree(iv.source));
-  }
-  return deltas;
+    const double p = fusion.prob(item, claim);
+    const double dp = (claim == true_claim) ? (1.0 - p) : (0.0 - p);
+    const double delta =
+        dp / static_cast<double>(compiled.source_degree(s));
+    deltas->delta[s] = delta;
+    deltas->g_weight[s] = delta * OddsDerivativeFactor(fusion.accuracy(s));
+    deltas->voters.push_back(s);
+  });
 }
 
-std::vector<double> EstimateUpdatedProbs(const Database& db,
-                                         const FusionResult& fusion, ItemId j,
-                                         const AccuracyDeltas& deltas) {
+void EstimateUpdatedProbs(const CompiledDatabase& compiled,
+                          const FusionResult& fusion, ItemId j,
+                          const AccuracyDeltas& deltas,
+                          std::vector<double>* updated) {
+  assert(deltas.g_weight.size() == compiled.num_sources());
   const std::vector<double>& probs = fusion.item_probs(j);
-  if (probs.size() <= 1) return probs;
-  const std::vector<double> g = ComputeClaimG(db, fusion, j, deltas);
+  if (probs.size() <= 1) {
+    *updated = probs;
+    return;
+  }
+  // g(v) per claim of item j (Eq. 10), accumulated in place. Sources the
+  // validation does not touch carry a zero weight, and adding an exact zero
+  // changes no sum.
+  std::vector<double>& g = *updated;
+  g.assign(probs.size(), 0.0);
+  compiled.ForEachItemVote(j, [&](SourceId s, ClaimIndex claim) {
+    g[claim] += deltas.g_weight[s];
+  });
   double g_bar = 0.0;
   for (ClaimIndex r = 0; r < probs.size(); ++r) g_bar += probs[r] * g[r];
-  std::vector<double> updated(probs.size());
   for (ClaimIndex r = 0; r < probs.size(); ++r) {
     // Closed form of Eq. (10): dp_r = p_r (g(r) - sum_v p_v g(v)).
-    updated[r] = ClampProb(probs[r] + probs[r] * (g[r] - g_bar));
+    g[r] = ClampProb(probs[r] + probs[r] * (g[r] - g_bar));
   }
-  return updated;
 }
 
 std::vector<double> EstimateUpdatedProbsLiteral(const Database& db,
@@ -72,7 +80,11 @@ std::vector<double> EstimateUpdatedProbsLiteral(const Database& db,
                                                 const AccuracyDeltas& deltas) {
   const std::vector<double>& probs = fusion.item_probs(j);
   if (probs.size() <= 1) return probs;
-  const std::vector<double> g = ComputeClaimG(db, fusion, j, deltas);
+  std::vector<double> g(probs.size(), 0.0);
+  for (const ItemVote& iv : db.item_votes(j)) {
+    g[iv.claim] += deltas.delta[iv.source] *
+                   OddsDerivativeFactor(fusion.accuracy(iv.source));
+  }
   // f(r, v) of Eq. (15) as exp(score(v) - score(r)) over the current
   // accuracies.
   const std::vector<double> scores =
@@ -98,15 +110,48 @@ struct EntropyBaseline {
   double total = 0.0;
 };
 
-EntropyBaseline ComputeBaseline(const Database& db,
+EntropyBaseline ComputeBaseline(const CompiledDatabase& compiled,
                                 const FusionResult& fusion) {
   EntropyBaseline baseline;
-  baseline.item.assign(db.num_items(), 0.0);
-  for (ItemId i = 0; i < db.num_items(); ++i) {
+  baseline.item.assign(compiled.num_items(), 0.0);
+  for (ItemId i = 0; i < compiled.num_items(); ++i) {
     baseline.item[i] = fusion.ItemEntropy(i);
     baseline.total += baseline.item[i];
   }
   return baseline;
+}
+
+// One lane's scratch for one scan, sized to the view on first use. Lanes
+// never share it, so the pooled scan needs no synchronization; a scan
+// stamps at most one generation per candidate, so the stamps never wrap.
+struct KernelScratch {
+  std::vector<std::uint32_t> stamp;  // By ItemId; == current: seen.
+  std::uint32_t current = 0;
+  std::vector<ItemId> neighbors;
+  AccuracyDeltas deltas;
+  std::vector<double> updated;
+};
+
+// Fills scratch->neighbors with the items sharing a source with `i`
+// (excluding i), in first-seen order of the walk i -> votes -> source ->
+// votes: the order the impact sum visits them in.
+void CollectNeighbors(const CompiledDatabase& compiled, ItemId i,
+                      KernelScratch* scratch) {
+  if (scratch->stamp.size() != compiled.num_items()) {
+    scratch->stamp.assign(compiled.num_items(), 0);
+  }
+  std::vector<std::uint32_t>& stamp = scratch->stamp;
+  const std::uint32_t current = ++scratch->current;
+  scratch->neighbors.clear();
+  stamp[i] = current;  // Exclude self.
+  compiled.ForEachItemVote(i, [&](SourceId s, ClaimIndex) {
+    compiled.ForEachSourceVote(s, [&](ItemId j, std::uint32_t) {
+      if (stamp[j] != current) {
+        stamp[j] = current;
+        scratch->neighbors.push_back(j);
+      }
+    });
+  });
 }
 
 // Expected total entropy after validating `i` under the differential
@@ -114,33 +159,40 @@ EntropyBaseline ComputeBaseline(const Database& db,
 // validated item's entropy drops to zero; neighbours move by the
 // differential estimate; everything farther keeps its entropy (Theorem 4.1
 // truncation). A non-null `confine` keeps the impact inside i's own shard.
-// `neighbors` is caller-owned scratch.
 double ExpectedEntropyAt(const StrategyContext& ctx, ItemId i,
                          const EntropyBaseline& baseline,
                          const std::vector<bool>* impact_filter,
                          const ShardPartition* confine,
-                         std::vector<ItemId>* neighbors) {
-  const Database& db = *ctx.db;
+                         KernelScratch* scratch) {
+  const CompiledDatabase& compiled = *ctx.compiled;
   const FusionResult& fusion = *ctx.fusion;
+  CollectNeighbors(compiled, i, scratch);
+  // The neighbours whose estimate moves; the same for every hypothesis t.
   const std::uint32_t home_shard =
       confine != nullptr ? confine->shard_of(i) : 0;
-  ctx.graph->CollectNeighbors(i, neighbors);
+  std::vector<ItemId>& impacted = scratch->neighbors;
+  std::size_t kept = 0;
+  for (ItemId j : impacted) {
+    if (ctx.priors->Has(j)) continue;  // Pinned distributions do not move.
+    if (impact_filter != nullptr && !(*impact_filter)[j]) continue;
+    if (confine != nullptr && confine->shard_of(j) != home_shard) {
+      continue;  // Stage-1 confinement: impact never leaves i's shard.
+    }
+    if (compiled.item_num_claims(j) <= 1) continue;
+    impacted[kept++] = j;
+  }
+  impacted.resize(kept);
+
   double expected = 0.0;
-  for (ClaimIndex t = 0; t < db.num_claims(i); ++t) {
+  for (ClaimIndex t = 0; t < compiled.item_num_claims(i); ++t) {
     const double pt = fusion.prob(i, t);
     if (pt <= 0.0) continue;  // Zero-probability hypotheses contribute 0.
-    const AccuracyDeltas deltas = ComputeAccuracyDeltas(db, fusion, i, t);
+    ComputeAccuracyDeltas(compiled, fusion, i, t, &scratch->deltas);
     double estimate = baseline.total - baseline.item[i];
-    for (ItemId j : *neighbors) {
-      if (ctx.priors->Has(j)) continue;  // Pinned distributions do not move.
-      if (impact_filter != nullptr && !(*impact_filter)[j]) continue;
-      if (confine != nullptr && confine->shard_of(j) != home_shard) {
-        continue;  // Stage-1 confinement: impact never leaves i's shard.
-      }
-      if (db.num_claims(j) <= 1) continue;
-      const std::vector<double> updated =
-          EstimateUpdatedProbs(db, fusion, j, deltas);
-      estimate += Entropy(updated) - baseline.item[j];
+    for (ItemId j : impacted) {
+      EstimateUpdatedProbs(compiled, fusion, j, scratch->deltas,
+                           &scratch->updated);
+      estimate += Entropy(scratch->updated) - baseline.item[j];
     }
     expected += pt * estimate;
   }
@@ -152,17 +204,18 @@ double ExpectedEntropyAt(const StrategyContext& ctx, ItemId i,
 double ApproxMeuStrategy::ExpectedEntropyAfterValidation(
     const StrategyContext& ctx, ItemId item,
     const std::vector<bool>* impact_filter) {
-  assert(ctx.graph != nullptr && "ApproxMeu requires ctx.graph");
-  std::vector<ItemId> neighbors;
-  return ExpectedEntropyAt(ctx, item, ComputeBaseline(*ctx.db, *ctx.fusion),
-                           impact_filter, /*confine=*/nullptr, &neighbors);
+  assert(ctx.compiled != nullptr && "ApproxMeu requires ctx.compiled");
+  KernelScratch scratch;
+  return ExpectedEntropyAt(ctx, item,
+                           ComputeBaseline(*ctx.compiled, *ctx.fusion),
+                           impact_filter, /*confine=*/nullptr, &scratch);
 }
 
 std::vector<double> ApproxMeuStrategy::ScoreCandidates(
     const StrategyContext& ctx, const std::vector<ItemId>& candidates,
     const std::vector<bool>* impact_filter, CandidateScan* scan,
     const ShardPartition* confine) {
-  assert(ctx.graph != nullptr && "ApproxMeu requires ctx.graph");
+  assert(ctx.compiled != nullptr && "ApproxMeu requires ctx.compiled");
   VERITAS_SPAN("strategy.approx_meu.score");
   static Counter* lookaheads =
       MetricsRegistry::Global().GetCounter("strategy.approx_meu.lookaheads");
@@ -173,15 +226,15 @@ std::vector<double> ApproxMeuStrategy::ScoreCandidates(
 
   CandidateScan serial;
   if (scan == nullptr) scan = &serial;
-  const EntropyBaseline baseline = ComputeBaseline(*ctx.db, *ctx.fusion);
-  std::vector<std::vector<ItemId>> neighbors(scan->lanes());  // Per lane.
+  const EntropyBaseline baseline = ComputeBaseline(*ctx.compiled, *ctx.fusion);
+  std::vector<KernelScratch> scratch(scan->lanes());
   return scan->Gains(
       candidates,
       [&](std::size_t lane, std::size_t idx) {
         // Delta EU_i of Eq. (13).
         return baseline.total - ExpectedEntropyAt(ctx, candidates[idx],
                                                   baseline, impact_filter,
-                                                  confine, &neighbors[lane]);
+                                                  confine, &scratch[lane]);
       },
       ctx.cancel);
 }
@@ -194,7 +247,7 @@ std::vector<ItemId> ApproxMeuStrategy::SelectBatch(const StrategyContext& ctx,
   const std::vector<ItemId> candidates = CandidateItems(ctx);
   const std::size_t shards =
       ctx.fusion_opts != nullptr ? ctx.fusion_opts->shards : 1;
-  if (shards <= 1 || ctx.delta == nullptr || candidates.size() <= batch) {
+  if (shards <= 1 || candidates.size() <= batch) {
     const std::vector<double> gains =
         ScoreCandidates(ctx, candidates, /*impact_filter=*/nullptr, &scan_);
     return TopKByScore(candidates, gains, batch);
@@ -208,8 +261,9 @@ std::vector<ItemId> ApproxMeuStrategy::SelectBatch(const StrategyContext& ctx,
   // (partition, i, j) and gains land in disjoint slots, so the result is
   // identical for any shard x thread combination (asserted by
   // fusion_sharded_scan_test). Stage 2 re-scores the merged pool unfiltered.
+  // Only the compiled view is needed, so this runs for every fusion model.
   VERITAS_SPAN("strategy.approx_meu.select_sharded");
-  shard_plan_.Prepare(ctx.delta->compiled(), shards);
+  shard_plan_.Prepare(*ctx.compiled, shards);
   const ShardPartition& partition = shard_plan_.partition();
   const ShardedScanResult result = RunShardedScan(
       candidates, batch, partition,

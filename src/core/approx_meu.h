@@ -21,11 +21,17 @@
 //
 // The expected entropy after validating o_i (Eq. 13) is then computed over
 // the *estimated* probabilities, and the item with the maximum expected
-// entropy reduction is selected. Requires ctx.graph.
+// entropy reduction is selected.
+//
+// The kernel walks the session's compiled view (ctx.compiled, always set):
+// o_i's neighbours come from the item -> votes -> source -> votes walk of
+// the CSR, deduplicated by a per-lane stamp array, and the Eq. (9) deltas
+// live in flat per-source arrays, so scoring a candidate allocates nothing
+// once a lane's scratch has grown to the view.
 #ifndef VERITAS_CORE_APPROX_MEU_H_
 #define VERITAS_CORE_APPROX_MEU_H_
 
-#include <unordered_map>
+#include <vector>
 
 #include "core/candidate_scan.h"
 #include "core/strategy.h"
@@ -33,24 +39,37 @@
 
 namespace veritas {
 
-/// Per-source accuracy deltas induced by a hypothesized validation (Eq. 9).
-using AccuracyDeltas = std::unordered_map<SourceId, double>;
+/// Per-source accuracy deltas induced by a hypothesized validation (Eq. 9),
+/// flat over the sources of one compiled view. Sources that do not vote on
+/// the validated item hold 0; `voters` lists the ones that do, in the item's
+/// vote order, so a reused instance resets in O(voters).
+struct AccuracyDeltas {
+  std::vector<double> delta;     ///< dA(s), by SourceId.
+  std::vector<double> g_weight;  ///< dA(s) / (A(s)(1 - A(s))): s's term of
+                                 ///< g(v) in Eq. (10), by SourceId.
+  std::vector<SourceId> voters;
+};
 
-/// Computes Eq. (9): the accuracy deltas of all sources voting on `item`,
-/// under the hypothesis that claim `true_claim` is validated as true.
-AccuracyDeltas ComputeAccuracyDeltas(const Database& db,
-                                     const FusionResult& fusion, ItemId item,
-                                     ClaimIndex true_claim);
+/// Computes Eq. (9) into `deltas`: the accuracy deltas of all sources voting
+/// on `item`, under the hypothesis that claim `true_claim` is validated as
+/// true. Resets the entries a previous call wrote; (re)sizes the arrays to
+/// the view when its source count changed.
+void ComputeAccuracyDeltas(const CompiledDatabase& compiled,
+                           const FusionResult& fusion, ItemId item,
+                           ClaimIndex true_claim, AccuracyDeltas* deltas);
 
 /// Estimated post-validation distribution of item `j` given source accuracy
-/// deltas, using the closed-form first-order update (fast path). Entries are
-/// clamped into [0, 1].
-std::vector<double> EstimateUpdatedProbs(const Database& db,
-                                         const FusionResult& fusion, ItemId j,
-                                         const AccuracyDeltas& deltas);
+/// deltas, using the closed-form first-order update, into `updated`
+/// (resized). Entries are clamped into [0, 1]. The Approx-MEU kernel's only
+/// estimate; O(votes_j + |V_j|), no allocation once `updated` has grown.
+void EstimateUpdatedProbs(const CompiledDatabase& compiled,
+                          const FusionResult& fusion, ItemId j,
+                          const AccuracyDeltas& deltas,
+                          std::vector<double>* updated);
 
-/// Literal Eq. (10) implementation (ratio-of-products form). Used to verify
-/// the fast path; O(|V_j|^2) instead of O(|V_j|).
+/// Literal Eq. (10) implementation (ratio-of-products form) over the nested
+/// Database, independent of the CSR. The test oracle for the closed form;
+/// O(|V_j|^2) instead of O(|V_j|).
 std::vector<double> EstimateUpdatedProbsLiteral(const Database& db,
                                                 const FusionResult& fusion,
                                                 ItemId j,
@@ -66,6 +85,9 @@ class ApproxMeuStrategy : public Strategy {
       : scan_(num_threads) {}
 
   std::string name() const override { return "approx_meu"; }
+
+  /// Drops the cached shard partition.
+  void Reset() override { shard_plan_ = ShardedScanPlan(); }
 
   std::size_t num_threads() const { return scan_.lanes(); }
 

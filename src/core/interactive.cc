@@ -11,7 +11,7 @@ InteractiveSession::InteractiveSession(const Database& db,
       strategy_(strategy),
       fusion_options_(fusion_options),
       rng_(rng),
-      graph_(db) {
+      compiled_(db) {
   strategy_->Reset();
   fusion_ = model_.Fuse(db_, priors_, fusion_options_);
 }
@@ -19,11 +19,11 @@ InteractiveSession::InteractiveSession(const Database& db,
 StrategyContext InteractiveSession::MakeContext() {
   StrategyContext ctx;
   ctx.db = &db_;
+  ctx.compiled = &compiled_;
   ctx.fusion = &fusion_;
   ctx.priors = &priors_;
   ctx.model = &model_;
   ctx.fusion_opts = &fusion_options_;
-  ctx.graph = &graph_;
   ctx.rng = rng_;
   ctx.excluded = &unanswerable_;
   return ctx;

@@ -101,7 +101,7 @@ class InteractiveSession {
   Strategy* strategy_;
   FusionOptions fusion_options_;
   Rng* rng_;
-  ItemGraph graph_;
+  CompiledDatabase compiled_;  // The session's view of db_ (frozen).
   PriorSet priors_;
   FusionResult fusion_;
   std::unordered_set<ItemId> unanswerable_;

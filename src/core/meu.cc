@@ -330,7 +330,7 @@ std::vector<ItemId> MeuStrategy::SelectBatch(const StrategyContext& ctx,
       MetricsRegistry::Global().GetCounter("meu.shard_scans");
   static Histogram* pool_hist = MetricsRegistry::Global().GetHistogram(
       "meu.shard_pool_candidates", MetricsRegistry::CountEdges());
-  shard_plan_.Prepare(ctx.delta->compiled(), shards);
+  shard_plan_.Prepare(*ctx.compiled, shards);
   shard_scans->Add(1);
   // One O(database) flatten serves both stages: stage 2's pins run against
   // the same base (each lookahead restores what it touched), so neither the

@@ -66,8 +66,12 @@ class MeuStrategy : public Strategy {
 
   std::size_t num_threads() const { return scan_.lanes(); }
 
-  /// Clears the cross-round seed ranking (the pool survives).
-  void Reset() override { seed_ranking_.clear(); }
+  /// Clears the cross-round seed ranking and the cached shard partition (the
+  /// pool survives).
+  void Reset() override {
+    seed_ranking_.clear();
+    shard_plan_ = ShardedScanPlan();
+  }
 
   std::vector<ItemId> SelectBatch(const StrategyContext& ctx,
                                   std::size_t batch) override;

@@ -5,7 +5,8 @@ namespace veritas {
 std::vector<ItemId> QbcStrategy::SelectBatch(const StrategyContext& ctx,
                                              std::size_t batch) {
   const Database& db = *ctx.db;
-  if (ranked_.empty() || ranked_db_ != &db || ranked_epoch_ != ctx.db_epoch ||
+  const std::uint64_t epoch = ctx.compiled->epoch();
+  if (ranked_.empty() || ranked_db_ != &db || ranked_epoch_ != epoch ||
       ranked_includes_singletons_ != ctx.include_singletons) {
     std::vector<ItemId> candidates;
     for (ItemId i = 0; i < db.num_items(); ++i) {
@@ -17,7 +18,7 @@ std::vector<ItemId> QbcStrategy::SelectBatch(const StrategyContext& ctx,
     for (ItemId i : candidates) scores.push_back(VoteEntropy(db, i));
     ranked_ = TopKByScore(candidates, scores, candidates.size());
     ranked_db_ = &db;
-    ranked_epoch_ = ctx.db_epoch;
+    ranked_epoch_ = epoch;
     ranked_includes_singletons_ = ctx.include_singletons;
   }
   std::vector<ItemId> out;

@@ -27,9 +27,10 @@ class QbcStrategy : public Strategy {
   // Items in descending vote-entropy order, computed lazily on first call.
   // Vote entropies never change during a session over a frozen database
   // (§4.1.1: QBC "does not need to recompute entropies after a validation").
-  // The cache is keyed on the database identity AND the ingest epoch: the
-  // identity catches a strategy instance reused across databases, the epoch
-  // catches a streaming database that grew in place under the same address.
+  // The cache is keyed on the database identity AND the compiled view's
+  // epoch: the identity catches a strategy instance reused across databases,
+  // the epoch catches a streaming database that grew in place under the same
+  // address.
   std::vector<ItemId> ranked_;
   const Database* ranked_db_ = nullptr;
   std::uint64_t ranked_epoch_ = 0;

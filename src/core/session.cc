@@ -4,6 +4,7 @@
 #include <cmath>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <unordered_set>
 #include <utility>
@@ -180,9 +181,14 @@ Result<SessionTrace> FeedbackSession::Run() {
 
   SessionTrace trace;
   strategy_->Reset();
-  // The conflict graph reads the live database on demand, so one graph
-  // serves the whole run, streaming appends included.
-  const ItemGraph graph(db_);
+  // The session's one compiled view, given to every reader: the strategies
+  // through StrategyContext::compiled and the delta engine. A frozen
+  // database is compiled once here; a stream's live view is rebuilt by
+  // AppendBatch after every changing batch.
+  std::optional<CompiledDatabase> frozen_view;
+  if (!streaming.active()) frozen_view.emplace(db_);
+  const CompiledDatabase& compiled =
+      streaming.active() ? streaming.stream->compiled() : *frozen_view;
 
   // Cooperative stop plumbing: the fusion models and strategies see the
   // same token, so a hard stop drains the inner loops promptly while a
@@ -201,14 +207,11 @@ Result<SessionTrace> FeedbackSession::Run() {
   // state the engine propagates from must be the converged warm state).
   const std::unique_ptr<DeltaFusionEngine> delta =
       options_.warm_start && options_.fusion.use_delta_fusion
-          ? (streaming.active()
-                 ? DeltaFusionEngine::Create(*streaming.stream, model_,
-                                             options_.fusion)
-                 : DeltaFusionEngine::Create(db_, model_, options_.fusion))
+          ? DeltaFusionEngine::Create(compiled, model_, options_.fusion)
           : nullptr;
   // The lookaheads propagate from `fusion` as a state converged under every
-  // prior. A warm-start rollback (non-finite or rejected re-fusion) breaks
-  // that invariant until a re-fusion lands again; until then the strategies
+  // prior. A warm-start rollback (a non-finite re-fusion) breaks that
+  // invariant until a re-fusion lands again; until then the strategies
   // re-fuse fully.
   bool delta_base_valid = true;
 
@@ -428,19 +431,18 @@ Result<SessionTrace> FeedbackSession::Run() {
 
     StrategyContext ctx;
     ctx.db = &db_;
+    ctx.compiled = &compiled;
     ctx.fusion = &fusion;
     ctx.priors = &trace.priors;
     ctx.model = &model_;
     ctx.fusion_opts = &options_.fusion;
     ctx.ground_truth = &truth_;
-    ctx.graph = &graph;
     ctx.rng = rng_;
     ctx.excluded = &skipped_set;
     ctx.include_singletons = options_.include_singletons;
     ctx.warm_start_lookahead = options_.warm_start;
     ctx.delta = delta_base_valid ? delta.get() : nullptr;
     ctx.require_known_truth = streaming.require_known_truth;
-    ctx.db_epoch = streaming.active() ? streaming.stream->epoch() : 0;
     ctx.cancel = options_.cancel;
 
     const std::size_t want = std::min(
@@ -530,11 +532,9 @@ Result<SessionTrace> FeedbackSession::Run() {
         ++trace.fusion_nonconverged_rounds;
         nonconverged_counter->Add(1);
       }
-      const bool reject_nonconverged =
-          options_.rollback_on_nonconvergence && !next.converged();
-      if (!next.AllFinite() || reject_nonconverged) {
+      if (!next.AllFinite()) {
         // Warm-start rollback: keep the last-good fusion instead of
-        // propagating a poisoned or partial result into strategy scores.
+        // propagating a poisoned result into strategy scores.
         ++trace.fusion_fallback_rounds;
         fallback_counter->Add(1);
         delta_base_valid = false;

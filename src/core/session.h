@@ -65,12 +65,6 @@ struct SessionOptions {
   /// suggestion — instead of aborting the whole run. Hard errors (unknown
   /// ground truth, out-of-range ids) still abort.
   bool skip_unanswerable = true;
-  /// When a re-fusion reports converged() == false, roll back to the
-  /// last-good FusionResult instead of using the partial result. Off by
-  /// default: non-converged results are still usable (§3), and rolling back
-  /// freezes the beliefs until the next validation. Non-finite re-fusions
-  /// are always rolled back regardless of this flag.
-  bool rollback_on_nonconvergence = false;
   /// Write a resumable snapshot to this path ("" = no checkpointing) every
   /// `checkpoint_every_rounds` validation rounds and at completion.
   std::string checkpoint_path;
@@ -138,7 +132,7 @@ struct SessionTrace {
   /// Re-fusions that reported converged() == false.
   std::size_t fusion_nonconverged_rounds = 0;
   /// Re-fusions discarded in favor of the last-good result (non-finite
-  /// output, or non-convergence with rollback_on_nonconvergence set).
+  /// output; a non-converged result is still usable, §3).
   std::size_t fusion_fallback_rounds = 0;
   /// Streaming ingest accounting (all zero for non-streaming sessions).
   std::size_t ingest_batches = 0;

@@ -12,9 +12,9 @@
 #include "fusion/fusion_model.h"
 #include "fusion/fusion_result.h"
 #include "fusion/priors.h"
+#include "model/compiled_database.h"
 #include "model/database.h"
 #include "model/ground_truth.h"
-#include "model/item_graph.h"
 #include "util/rng.h"
 
 namespace veritas {
@@ -23,15 +23,22 @@ class DeltaFusionEngine;
 
 /// Everything a strategy may consult when choosing the next action.
 /// Pointers that a given strategy does not need may be null (see each
-/// strategy's documentation); `db`, `fusion` and `priors` are always set.
+/// strategy's documentation); `db`, `compiled`, `fusion` and `priors` are
+/// always set.
 struct StrategyContext {
   const Database* db = nullptr;
+  /// The session's one flat CSR view of `db` (frozen: compiled once per
+  /// session; streaming: StreamingDatabase::compiled(), rebuilt per changing
+  /// batch). Its epoch identifies the database generation: strategies that
+  /// cache positional state across calls (QBC's ranking, the shard plans)
+  /// key on it, because the Database object's *address* stays stable while
+  /// a stream grows it.
+  const CompiledDatabase* compiled = nullptr;
   const FusionResult* fusion = nullptr;  ///< Current fusion output <P, A>.
   const PriorSet* priors = nullptr;      ///< Validated items (excluded).
   const FusionModel* model = nullptr;    ///< For lookahead (MEU, GUB).
   const FusionOptions* fusion_opts = nullptr;
   const GroundTruth* ground_truth = nullptr;  ///< Only for GUB.
-  const ItemGraph* graph = nullptr;           ///< For Approx-MEU.
   Rng* rng = nullptr;                         ///< For Random.
   /// Items the session could not validate (oracle permanently failed or the
   /// user marked them unanswerable); excluded from the action space like
@@ -55,12 +62,6 @@ struct StrategyContext {
   /// space the moment its truth lands, instead of aborting the session or
   /// being skipped forever.
   bool require_known_truth = false;
-  /// Epoch of the database the context was built against. Streaming sessions
-  /// bump it on every structural ingest tick; a frozen database stays at 0.
-  /// Strategies that cache positional state across calls (e.g. QBC's
-  /// ranking) must fold it into their cache key — the Database object's
-  /// *address* stays stable while its contents grow.
-  std::uint64_t db_epoch = 0;
   /// Optional hard-stop token (not owned; may be null). Lookahead-heavy
   /// strategies poll it between candidates and bail out of the scan when a
   /// hard stop is requested; the truncated batch is discarded by the session,

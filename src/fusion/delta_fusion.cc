@@ -7,7 +7,6 @@
 #include "fusion/accu.h"
 #include "fusion/truthfinder.h"
 #include "fusion/voting.h"
-#include "model/streaming_database.h"
 #include "obs/metrics.h"
 #include "util/cancellation.h"
 #include "util/math.h"
@@ -35,8 +34,9 @@ Counter* StaleViewCounter() {
 
 }  // namespace
 
-std::unique_ptr<DeltaFusionEngine> DeltaFusionEngine::ForModel(
-    const FusionModel& model, FusionOptions fusion_opts) {
+std::unique_ptr<DeltaFusionEngine> DeltaFusionEngine::Create(
+    const CompiledDatabase& compiled, const FusionModel& model,
+    FusionOptions fusion_opts) {
   Kind kind;
   double gamma = 0.0;
   if (dynamic_cast<const AccuFusion*>(&model) != nullptr) {
@@ -51,25 +51,7 @@ std::unique_ptr<DeltaFusionEngine> DeltaFusionEngine::ForModel(
     return nullptr;
   }
   return std::unique_ptr<DeltaFusionEngine>(
-      new DeltaFusionEngine(kind, gamma, fusion_opts));
-}
-
-std::unique_ptr<DeltaFusionEngine> DeltaFusionEngine::Create(
-    const Database& db, const FusionModel& model, FusionOptions fusion_opts) {
-  std::unique_ptr<DeltaFusionEngine> engine = ForModel(model, fusion_opts);
-  if (engine != nullptr) {
-    engine->owned_compiled_ = std::make_unique<CompiledDatabase>(db);
-    engine->compiled_ = engine->owned_compiled_.get();
-  }
-  return engine;
-}
-
-std::unique_ptr<DeltaFusionEngine> DeltaFusionEngine::Create(
-    const StreamingDatabase& stream, const FusionModel& model,
-    FusionOptions fusion_opts) {
-  std::unique_ptr<DeltaFusionEngine> engine = ForModel(model, fusion_opts);
-  if (engine != nullptr) engine->compiled_ = &stream.compiled();
-  return engine;
+      new DeltaFusionEngine(compiled, kind, gamma, fusion_opts));
 }
 
 double DeltaFusionEngine::ScoreTerm(double accuracy) const {

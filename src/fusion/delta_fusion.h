@@ -39,11 +39,8 @@
 #include "fusion/fusion_result.h"
 #include "fusion/priors.h"
 #include "model/compiled_database.h"
-#include "model/database.h"
 
 namespace veritas {
-
-class StreamingDatabase;
 
 /// Restricts a lookahead's propagation to one shard of an item partition
 /// (DESIGN.md §5h). Items outside the scope never enter the frontier, so the
@@ -143,21 +140,14 @@ class DeltaFusionEngine {
     double total_entropy = 0.0;
   };
 
-  /// Builds an engine, or null when the model is unsupported. Owns its
-  /// CompiledDatabase view (frozen databases — the view never changes).
-  static std::unique_ptr<DeltaFusionEngine> Create(const Database& db,
-                                                   const FusionModel& model,
-                                                   FusionOptions fusion_opts);
-
-  /// Streaming variant: borrows the StreamingDatabase's live view instead of
-  /// compiling a private copy, so ingest batches become visible to the engine
-  /// as soon as they land (each bumping the shared epoch). `stream` must
-  /// outlive the engine.
+  /// Builds an engine over `compiled`, or null when the model is
+  /// unsupported. The engine borrows the view (the session's one compiled
+  /// view: a frozen database's, or a StreamingDatabase's live one, whose
+  /// rebuilds bump the epoch the BaseStates pin). `compiled` must outlive the
+  /// engine.
   static std::unique_ptr<DeltaFusionEngine> Create(
-      const StreamingDatabase& stream, const FusionModel& model,
+      const CompiledDatabase& compiled, const FusionModel& model,
       FusionOptions fusion_opts);
-
-  const CompiledDatabase& compiled() const { return *compiled_; }
 
   /// True when a pin on one item can move *other* items' probabilities
   /// (through the shared-source accuracy coupling). Voting has no such
@@ -181,13 +171,12 @@ class DeltaFusionEngine {
  private:
   enum class Kind { kAccu, kVoting, kTruthFinder };
 
-  DeltaFusionEngine(Kind kind, double gamma, FusionOptions fusion_opts)
-      : kind_(kind), gamma_(gamma), fusion_opts_(fusion_opts) {}
-
-  /// The model-kind detection both Create overloads share; the caller
-  /// attaches the CSR view. Null when the model is unsupported.
-  static std::unique_ptr<DeltaFusionEngine> ForModel(const FusionModel& model,
-                                                     FusionOptions fusion_opts);
+  DeltaFusionEngine(const CompiledDatabase& compiled, Kind kind, double gamma,
+                    FusionOptions fusion_opts)
+      : kind_(kind),
+        gamma_(gamma),
+        fusion_opts_(fusion_opts),
+        compiled_(&compiled) {}
 
   double ScoreTerm(double accuracy) const;
   /// Copies `base` into the workspace's flat working arrays.
@@ -212,10 +201,7 @@ class DeltaFusionEngine {
   Kind kind_;
   double gamma_;
   FusionOptions fusion_opts_;
-  // The CSR view: owned for frozen databases, borrowed from a
-  // StreamingDatabase when the engine follows a live stream.
-  std::unique_ptr<CompiledDatabase> owned_compiled_;
-  const CompiledDatabase* compiled_ = nullptr;
+  const CompiledDatabase* compiled_;  // Borrowed; see Create.
 };
 
 }  // namespace veritas

@@ -1,7 +1,5 @@
 #include "model/item_graph.h"
 
-#include <queue>
-
 namespace veritas {
 
 ItemGraph::ItemGraph(const Database& db) : db_(db) {}
@@ -37,70 +35,6 @@ void ItemGraph::CollectNeighbors(ItemId item, std::vector<ItemId>* out) const {
       }
     }
   }
-}
-
-std::size_t ItemGraph::Degree(ItemId item) const {
-  std::vector<ItemId> scratch;
-  CollectNeighbors(item, &scratch);
-  return scratch.size();
-}
-
-double ItemGraph::AverageDegree() const {
-  if (db_.num_items() == 0) return 0.0;
-  double total = 0.0;
-  std::vector<ItemId> scratch;
-  for (ItemId i = 0; i < db_.num_items(); ++i) {
-    CollectNeighbors(i, &scratch);
-    total += static_cast<double>(scratch.size());
-  }
-  return total / static_cast<double>(db_.num_items());
-}
-
-bool ItemGraph::Connected(ItemId a, ItemId b) const {
-  if (a == b) return true;
-  std::vector<bool> seen(db_.num_items(), false);
-  std::queue<ItemId> frontier;
-  frontier.push(a);
-  seen[a] = true;
-  std::vector<ItemId> neighbors;
-  while (!frontier.empty()) {
-    const ItemId cur = frontier.front();
-    frontier.pop();
-    CollectNeighbors(cur, &neighbors);
-    for (ItemId nb : neighbors) {
-      if (nb == b) return true;
-      if (!seen[nb]) {
-        seen[nb] = true;
-        frontier.push(nb);
-      }
-    }
-  }
-  return false;
-}
-
-std::size_t ItemGraph::NumComponents() const {
-  std::vector<bool> seen(db_.num_items(), false);
-  std::size_t components = 0;
-  std::vector<ItemId> neighbors;
-  for (ItemId start = 0; start < db_.num_items(); ++start) {
-    if (seen[start]) continue;
-    ++components;
-    std::queue<ItemId> frontier;
-    frontier.push(start);
-    seen[start] = true;
-    while (!frontier.empty()) {
-      const ItemId cur = frontier.front();
-      frontier.pop();
-      CollectNeighbors(cur, &neighbors);
-      for (ItemId nb : neighbors) {
-        if (!seen[nb]) {
-          seen[nb] = true;
-          frontier.push(nb);
-        }
-      }
-    }
-  }
-  return components;
 }
 
 }  // namespace veritas

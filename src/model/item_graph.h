@@ -1,6 +1,10 @@
 // The graph of data items (paper Figure 2): two items are adjacent when at
 // least one source votes on both. Approx-MEU propagates validation impact to
-// one-hop neighbours in this graph (Theorem 4.1 justifies the truncation).
+// one-hop neighbours in this graph (Theorem 4.1 justifies the truncation);
+// its kernel walks the same neighbourhoods straight over the session's
+// CompiledDatabase (core/approx_meu.cc), so no strategy reads this class.
+// perfbench still times its constructor (model.graph_build_s); the class
+// and that metric can go together.
 //
 // Neighbour lists are computed on demand: for dense data (few sources, many
 // items) materializing all adjacency lists would be quadratic in the number
@@ -23,24 +27,9 @@ class ItemGraph {
 
   /// Fills `out` with the distinct items (excluding `item` itself) that share
   /// at least one source with `item`. Order is unspecified. Thread-safe: the
-  /// dedup scratch is thread-local, so concurrent lookahead lanes may query
-  /// one shared graph without synchronizing.
+  /// dedup scratch is thread-local, so concurrent callers may query one
+  /// shared graph without synchronizing.
   void CollectNeighbors(ItemId item, std::vector<ItemId>* out) const;
-
-  /// Number of one-hop neighbours of `item`.
-  std::size_t Degree(ItemId item) const;
-
-  /// Average one-hop degree over all items (exact; iterates every item).
-  double AverageDegree() const;
-
-  /// True when a path of alternating sources/items connects a and b.
-  /// (BFS over the item graph; used by diagnostics and tests.)
-  bool Connected(ItemId a, ItemId b) const;
-
-  /// Number of connected components of the item graph.
-  std::size_t NumComponents() const;
-
-  const Database& db() const { return db_; }
 
  private:
   const Database& db_;

@@ -20,21 +20,35 @@ class ApproxMeuTest : public ::testing::Test {
   void SetUp() override {
     fusion_ = model_.Fuse(db_, opts_);
     ctx_.db = &db_;
+    ctx_.compiled = &compiled_;
     ctx_.fusion = &fusion_;
     ctx_.priors = &priors_;
     ctx_.model = &model_;
     ctx_.fusion_opts = &opts_;
-    ctx_.graph = &graph_;
     ctx_.include_singletons = true;
   }
 
   Database db_ = MakeMovieDatabase();
+  CompiledDatabase compiled_{db_};
   AccuFusion model_;
   FusionOptions opts_ = PaperExampleFusionOptions();
   FusionResult fusion_;
   PriorSet priors_;
-  ItemGraph graph_{db_};
   StrategyContext ctx_;
+
+  // Eq. (9) deltas of validating `item` as `claim`.
+  AccuracyDeltas Deltas(ItemId item, ClaimIndex claim) const {
+    AccuracyDeltas deltas;
+    ComputeAccuracyDeltas(compiled_, fusion_, item, claim, &deltas);
+    return deltas;
+  }
+
+  // The closed-form estimate of item j under `deltas`.
+  std::vector<double> Estimate(ItemId j, const AccuracyDeltas& deltas) const {
+    std::vector<double> updated;
+    EstimateUpdatedProbs(compiled_, fusion_, j, deltas, &updated);
+    return updated;
+  }
 };
 
 TEST_F(ApproxMeuTest, AccuracyDeltasFollowEq9) {
@@ -43,20 +57,24 @@ TEST_F(ApproxMeuTest, AccuracyDeltasFollowEq9) {
   const ItemId o3 = *db_.FindItem("Inside Out");
   const ClaimIndex docter = *db_.FindClaim(o3, "Docter");
   const ClaimIndex lefauve = *db_.FindClaim(o3, "leFauve");
-  const AccuracyDeltas deltas =
-      ComputeAccuracyDeltas(db_, fusion_, o3, docter);
-  ASSERT_EQ(deltas.size(), 2u);
+  const AccuracyDeltas deltas = Deltas(o3, docter);
+  ASSERT_EQ(deltas.voters.size(), 2u);
   const SourceId s3 = *db_.FindSource("S3");
   const SourceId s2 = *db_.FindSource("S2");
-  EXPECT_NEAR(deltas.at(s3), (1.0 - fusion_.prob(o3, docter)) / 4.0, 1e-12);
-  EXPECT_NEAR(deltas.at(s2), -fusion_.prob(o3, lefauve) / 3.0, 1e-12);
+  EXPECT_NEAR(deltas.delta[s3], (1.0 - fusion_.prob(o3, docter)) / 4.0,
+              1e-12);
+  EXPECT_NEAR(deltas.delta[s2], -fusion_.prob(o3, lefauve) / 3.0, 1e-12);
 }
 
 TEST_F(ApproxMeuTest, AccuracyDeltasOnlyTouchVoters) {
   const ItemId dory = *db_.FindItem("Finding Dory");
-  const AccuracyDeltas deltas = ComputeAccuracyDeltas(db_, fusion_, dory, 0);
-  ASSERT_EQ(deltas.size(), 1u);
-  EXPECT_TRUE(deltas.count(*db_.FindSource("S4")));
+  const AccuracyDeltas deltas = Deltas(dory, 0);
+  ASSERT_EQ(deltas.voters, std::vector<SourceId>{*db_.FindSource("S4")});
+  for (SourceId s = 0; s < db_.num_sources(); ++s) {
+    if (s == deltas.voters.front()) continue;
+    EXPECT_EQ(deltas.delta[s], 0.0) << "source " << s;
+    EXPECT_EQ(deltas.g_weight[s], 0.0) << "source " << s;
+  }
 }
 
 TEST_F(ApproxMeuTest, FastAndLiteralEstimatesAgree) {
@@ -64,11 +82,10 @@ TEST_F(ApproxMeuTest, FastAndLiteralEstimatesAgree) {
   // literal Eq. (10) ratio-of-products implementation.
   for (ItemId validated = 0; validated < db_.num_items(); ++validated) {
     for (ClaimIndex t = 0; t < db_.num_claims(validated); ++t) {
-      const AccuracyDeltas deltas =
-          ComputeAccuracyDeltas(db_, fusion_, validated, t);
+      const AccuracyDeltas deltas = Deltas(validated, t);
       for (ItemId j = 0; j < db_.num_items(); ++j) {
         if (j == validated) continue;
-        const auto fast = EstimateUpdatedProbs(db_, fusion_, j, deltas);
+        const auto fast = Estimate(j, deltas);
         const auto literal =
             EstimateUpdatedProbsLiteral(db_, fusion_, j, deltas);
         ASSERT_EQ(fast.size(), literal.size());
@@ -86,10 +103,10 @@ TEST_F(ApproxMeuTest, FirstOrderChangesSumToZero) {
   // dp over an item's claims cancels: distributions stay normalized to
   // first order (before clamping).
   const ItemId o5 = *db_.FindItem("Minions");
-  const AccuracyDeltas deltas = ComputeAccuracyDeltas(db_, fusion_, o5, 0);
+  const AccuracyDeltas deltas = Deltas(o5, 0);
   for (ItemId j = 0; j < db_.num_items(); ++j) {
     if (j == o5 || db_.num_claims(j) < 2) continue;
-    const auto updated = EstimateUpdatedProbs(db_, fusion_, j, deltas);
+    const auto updated = Estimate(j, deltas);
     double before = 0.0, after = 0.0;
     for (ClaimIndex k = 0; k < db_.num_claims(j); ++k) {
       before += fusion_.prob(j, k);
@@ -105,20 +122,19 @@ TEST_F(ApproxMeuTest, RewardedSourceClaimGainsProbability) {
   // (Renaud) must gain estimated probability.
   const ItemId zootopia = *db_.FindItem("Zootopia");
   const ClaimIndex howard = *db_.FindClaim(zootopia, "Howard");
-  const AccuracyDeltas deltas =
-      ComputeAccuracyDeltas(db_, fusion_, zootopia, howard);
+  const AccuracyDeltas deltas = Deltas(zootopia, howard);
   const ItemId minions = *db_.FindItem("Minions");
   const ClaimIndex renaud = *db_.FindClaim(minions, "Renaud");
-  const auto updated = EstimateUpdatedProbs(db_, fusion_, minions, deltas);
+  const auto updated = Estimate(minions, deltas);
   EXPECT_GT(updated[renaud], fusion_.prob(minions, renaud));
 }
 
 TEST_F(ApproxMeuTest, UnaffectedItemUnchanged) {
   // Validating Finding Dory (voter S4) cannot move Minions (voters S1, S2).
   const ItemId dory = *db_.FindItem("Finding Dory");
-  const AccuracyDeltas deltas = ComputeAccuracyDeltas(db_, fusion_, dory, 0);
+  const AccuracyDeltas deltas = Deltas(dory, 0);
   const ItemId minions = *db_.FindItem("Minions");
-  const auto updated = EstimateUpdatedProbs(db_, fusion_, minions, deltas);
+  const auto updated = Estimate(minions, deltas);
   for (ClaimIndex k = 0; k < db_.num_claims(minions); ++k) {
     EXPECT_DOUBLE_EQ(updated[k], fusion_.prob(minions, k));
   }
@@ -127,11 +143,10 @@ TEST_F(ApproxMeuTest, UnaffectedItemUnchanged) {
 TEST_F(ApproxMeuTest, EstimatesAreClampedProbabilities) {
   for (ItemId validated = 0; validated < db_.num_items(); ++validated) {
     for (ClaimIndex t = 0; t < db_.num_claims(validated); ++t) {
-      const AccuracyDeltas deltas =
-          ComputeAccuracyDeltas(db_, fusion_, validated, t);
+      const AccuracyDeltas deltas = Deltas(validated, t);
       for (ItemId j = 0; j < db_.num_items(); ++j) {
         if (j == validated) continue;
-        for (double p : EstimateUpdatedProbs(db_, fusion_, j, deltas)) {
+        for (double p : Estimate(j, deltas)) {
           EXPECT_GE(p, 0.0);
           EXPECT_LE(p, 1.0);
         }
@@ -215,17 +230,19 @@ TEST_F(ApproxMeuTest, TheoremDecayOneHopSmallerThanValidated) {
   const SyntheticDataset data = GenerateDense(config);
   AccuFusion model;
   const FusionResult fusion = model.Fuse(data.db, FusionOptions{});
+  const CompiledDatabase compiled(data.db);
 
   double max_neighbor_change = 0.0;
   double validated_change = 0.0;
   const ItemId target = data.db.ConflictingItems().front();
   const ClaimIndex t = fusion.WinningClaim(target) == 0 ? 1 : 0;
   validated_change = 1.0 - fusion.prob(target, t);
-  const AccuracyDeltas deltas =
-      ComputeAccuracyDeltas(data.db, fusion, target, t);
+  AccuracyDeltas deltas;
+  ComputeAccuracyDeltas(compiled, fusion, target, t, &deltas);
+  std::vector<double> updated;
   for (ItemId j = 0; j < data.db.num_items(); ++j) {
     if (j == target) continue;
-    const auto updated = EstimateUpdatedProbs(data.db, fusion, j, deltas);
+    EstimateUpdatedProbs(compiled, fusion, j, deltas, &updated);
     for (ClaimIndex k = 0; k < data.db.num_claims(j); ++k) {
       max_neighbor_change = std::max(
           max_neighbor_change, std::fabs(updated[k] - fusion.prob(j, k)));

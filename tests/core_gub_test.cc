@@ -15,6 +15,7 @@ class GubTest : public ::testing::Test {
   void SetUp() override {
     fusion_ = model_.Fuse(db_, opts_);
     ctx_.db = &db_;
+    ctx_.compiled = &compiled_;
     ctx_.fusion = &fusion_;
     ctx_.priors = &priors_;
     ctx_.model = &model_;
@@ -23,6 +24,7 @@ class GubTest : public ::testing::Test {
   }
 
   Database db_ = MakeMovieDatabase();
+  CompiledDatabase compiled_{db_};
   GroundTruth truth_ = MakeMovieGroundTruth(db_);
   AccuFusion model_;
   FusionOptions opts_ = PaperExampleFusionOptions();

@@ -21,14 +21,14 @@ class HybridTest : public ::testing::Test {
     config.density = 0.5;
     config.seed = 21;
     data_ = GenerateDense(config);
-    graph_ = std::make_unique<ItemGraph>(data_.db);
+    compiled_ = std::make_unique<CompiledDatabase>(data_.db);
     fusion_ = model_.Fuse(data_.db, opts_);
     ctx_.db = &data_.db;
+    ctx_.compiled = compiled_.get();
     ctx_.fusion = &fusion_;
     ctx_.priors = &priors_;
     ctx_.model = &model_;
     ctx_.fusion_opts = &opts_;
-    ctx_.graph = graph_.get();
   }
 
   SyntheticDataset data_;
@@ -36,7 +36,7 @@ class HybridTest : public ::testing::Test {
   FusionOptions opts_;
   FusionResult fusion_;
   PriorSet priors_;
-  std::unique_ptr<ItemGraph> graph_;
+  std::unique_ptr<CompiledDatabase> compiled_;
   StrategyContext ctx_;
 };
 
@@ -127,18 +127,18 @@ TEST_P(HybridKSweepTest, PickAlwaysInFilteredSet) {
   config.density = 0.5;
   config.seed = 31;
   const SyntheticDataset data = GenerateDense(config);
-  const ItemGraph graph(data.db);
   AccuFusion model;
   FusionOptions opts;
   PriorSet priors;
   const FusionResult fusion = model.Fuse(data.db, priors, opts);
+  const CompiledDatabase compiled(data.db);
   StrategyContext ctx;
   ctx.db = &data.db;
+  ctx.compiled = &compiled;
   ctx.fusion = &fusion;
   ctx.priors = &priors;
   ctx.model = &model;
   ctx.fusion_opts = &opts;
-  ctx.graph = &graph;
 
   ApproxMeuKStrategy strategy(GetParam());
   const auto filtered =

@@ -15,6 +15,7 @@ class MeuTest : public ::testing::Test {
   void SetUp() override {
     fusion_ = model_.Fuse(db_, opts_);
     ctx_.db = &db_;
+    ctx_.compiled = &compiled_;
     ctx_.fusion = &fusion_;
     ctx_.priors = &priors_;
     ctx_.model = &model_;
@@ -24,6 +25,7 @@ class MeuTest : public ::testing::Test {
   }
 
   Database db_ = MakeMovieDatabase();
+  CompiledDatabase compiled_{db_};
   AccuFusion model_;
   FusionOptions opts_ = PaperExampleFusionOptions();
   FusionResult fusion_;
@@ -145,8 +147,10 @@ TEST(MeuParallelTest, LargerDatasetParallelEquivalence) {
   FusionOptions opts;
   PriorSet priors;
   const FusionResult fusion = model.Fuse(data.db, priors, opts);
+  const CompiledDatabase compiled(data.db);
   StrategyContext ctx;
   ctx.db = &data.db;
+  ctx.compiled = &compiled;
   ctx.fusion = &fusion;
   ctx.priors = &priors;
   ctx.model = &model;

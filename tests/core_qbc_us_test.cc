@@ -15,6 +15,7 @@ class ItemLevelStrategyTest : public ::testing::Test {
   void SetUp() override {
     fusion_ = model_.Fuse(db_, opts_);
     ctx_.db = &db_;
+    ctx_.compiled = &compiled_;
     ctx_.fusion = &fusion_;
     ctx_.priors = &priors_;
     ctx_.model = &model_;
@@ -22,6 +23,7 @@ class ItemLevelStrategyTest : public ::testing::Test {
   }
 
   Database db_ = MakeMovieDatabase();
+  CompiledDatabase compiled_{db_};
   AccuFusion model_;
   FusionOptions opts_ = PaperExampleFusionOptions();
   FusionResult fusion_;
@@ -81,8 +83,10 @@ TEST_F(ItemLevelStrategyTest, QbcCacheInvalidatedAcrossDatabases) {
   const SyntheticDataset other = GenerateDense(config);
   FusionResult other_fusion = model_.Fuse(other.db, opts_);
   PriorSet other_priors;
+  const CompiledDatabase other_compiled(other.db);
   StrategyContext other_ctx = ctx_;
   other_ctx.db = &other.db;
+  other_ctx.compiled = &other_compiled;
   other_ctx.fusion = &other_fusion;
   other_ctx.priors = &other_priors;
   const auto batch = qbc.SelectBatch(other_ctx, 5);
@@ -149,8 +153,10 @@ TEST_P(ItemLevelPropertyTest, SelectionsAreSane) {
   FusionOptions opts;
   PriorSet priors;
   const FusionResult fusion = model.Fuse(data.db, priors, opts);
+  const CompiledDatabase compiled(data.db);
   StrategyContext ctx;
   ctx.db = &data.db;
+  ctx.compiled = &compiled;
   ctx.fusion = &fusion;
   ctx.priors = &priors;
   ctx.model = &model;

@@ -19,6 +19,7 @@ class SequentialMeuTest : public ::testing::Test {
   void SetUp() override {
     fusion_ = model_.Fuse(db_, opts_);
     ctx_.db = &db_;
+    ctx_.compiled = &compiled_;
     ctx_.fusion = &fusion_;
     ctx_.priors = &priors_;
     ctx_.model = &model_;
@@ -26,6 +27,7 @@ class SequentialMeuTest : public ::testing::Test {
   }
 
   Database db_ = MakeMovieDatabase();
+  CompiledDatabase compiled_{db_};
   AccuFusion model_;
   FusionOptions opts_ = PaperExampleFusionOptions();
   FusionResult fusion_;
@@ -136,8 +138,10 @@ TEST(SequentialMeuSyntheticTest, TwoStepAtLeastMatchesMyopicPlanValue) {
   FusionOptions opts;
   PriorSet priors;
   const FusionResult fusion = model.Fuse(data.db, priors, opts);
+  const CompiledDatabase compiled(data.db);
   StrategyContext ctx;
   ctx.db = &data.db;
+  ctx.compiled = &compiled;
   ctx.fusion = &fusion;
   ctx.priors = &priors;
   ctx.model = &model;

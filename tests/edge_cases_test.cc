@@ -39,17 +39,17 @@ TEST(EdgeCaseTest, EmptyDatabaseStrategiesReturnNothing) {
   FusionOptions opts;
   PriorSet priors;
   const FusionResult fusion = model.Fuse(db, priors, opts);
-  const ItemGraph graph(db);
   GroundTruth truth(db);
   Rng rng(1);
+  const CompiledDatabase compiled(db);
   StrategyContext ctx;
   ctx.db = &db;
+  ctx.compiled = &compiled;
   ctx.fusion = &fusion;
   ctx.priors = &priors;
   ctx.model = &model;
   ctx.fusion_opts = &opts;
   ctx.ground_truth = &truth;
-  ctx.graph = &graph;
   ctx.rng = &rng;
   for (const std::string& name : StrategyNames()) {
     auto strategy = MakeStrategy(name);

@@ -181,7 +181,8 @@ TEST(StaleViewTest, LookaheadOnStaleBaseDegradesAndCounts) {
   auto model_or = MakeFusionModel("accu");
   ASSERT_TRUE(model_or.ok());
   FusionOptions opts;
-  const auto engine = DeltaFusionEngine::Create(stream, *model_or.value(), opts);
+  const auto engine =
+      DeltaFusionEngine::Create(stream.compiled(), *model_or.value(), opts);
   ASSERT_NE(engine, nullptr);
 
   const PriorSet priors;
@@ -229,7 +230,8 @@ TEST(StaleViewTest, ParallelLookaheadsBetweenAppendsAreRaceFree) {
   auto model_or = MakeFusionModel("accu");
   ASSERT_TRUE(model_or.ok());
   FusionOptions opts;
-  const auto engine = DeltaFusionEngine::Create(stream, *model_or.value(), opts);
+  const auto engine =
+      DeltaFusionEngine::Create(stream.compiled(), *model_or.value(), opts);
   ASSERT_NE(engine, nullptr);
 
   const PriorSet priors;

@@ -64,7 +64,8 @@ TEST_P(DeltaEquivalenceTest, EntropyAfterPinMatchesMaterializedRefusion) {
   ASSERT_TRUE(model.ok());
   const FusionOptions opts;
   const FusionResult base = (*model)->Fuse(data.db, PriorSet(), opts);
-  const auto engine = DeltaFusionEngine::Create(data.db, **model, opts);
+  const CompiledDatabase compiled(data.db);
+  const auto engine = DeltaFusionEngine::Create(compiled, **model, opts);
   ASSERT_NE(engine, nullptr);
   const DeltaFusionEngine::BaseState state = engine->PrepareBase(base);
   DeltaFusionEngine::Workspace ws;
@@ -104,17 +105,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DeltaFusionSupportTest, CreateCoversExactlyTheLocalUpdateModels) {
   const SyntheticDataset data = Generate({"accu", true, 5});
+  const CompiledDatabase compiled(data.db);
   const FusionOptions opts;
   for (const char* name : {"accu", "voting", "truthfinder"}) {
     auto model = MakeFusionModel(name);
     ASSERT_TRUE(model.ok());
-    EXPECT_NE(DeltaFusionEngine::Create(data.db, **model, opts), nullptr)
+    EXPECT_NE(DeltaFusionEngine::Create(compiled, **model, opts), nullptr)
         << name;
   }
   // AccuCopy re-estimates source dependence from all pairwise agreements, so
   // a pin is never a local update; the engine must refuse it.
   AccuCopyFusion accu_copy;
-  EXPECT_EQ(DeltaFusionEngine::Create(data.db, accu_copy, opts), nullptr);
+  EXPECT_EQ(DeltaFusionEngine::Create(compiled, accu_copy, opts), nullptr);
 }
 
 // The CSR view must be a faithful re-indexing of the nested Database: same

@@ -1,8 +1,9 @@
 // Tests of the sharded two-stage candidate scan (fusion/sharded_scan.h,
 // DESIGN.md §5h): the coordinator merge, the shards=1 bypass, sharded vs.
-// unsharded selection equality across fusion models, the empty-shard edge
-// case, and thread-count invariance of the sharded scan (this file is part
-// of the concurrency suite, so the latter also runs under TSan).
+// unsharded selection equality across fusion models, Approx-MEU scores over
+// a growing streaming view, the empty-shard edge case, and thread-count
+// invariance of the sharded scan (this file is part of the concurrency
+// suite, so the multi-lane cases also run under TSan).
 #include "fusion/sharded_scan.h"
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "fusion/priors.h"
 #include "model/compiled_database.h"
 #include "model/database_builder.h"
+#include "model/streaming_database.h"
 
 namespace veritas {
 namespace {
@@ -118,8 +120,10 @@ TEST(MergeTopCandidatesTest, CandidateSubsetOnly) {
 class ShardedSelectionTest : public ::testing::TestWithParam<std::string> {};
 
 // The sharded scan must select exactly what the classic scan selects —
-// the bench enforces this at the million-item scale; here it runs on every
-// delta-capable model at test size.
+// the bench enforces this at the million-item scale; here it runs at test
+// size for MEU on every delta-capable model. AccuCopy has no delta engine,
+// so MEU stays on the classic scan there; Approx-MEU shards from the
+// compiled view alone, and is checked on that model instead.
 TEST_P(ShardedSelectionTest, ShardedMatchesUnsharded) {
   LongTailConfig config;
   config.num_items = 400;
@@ -131,37 +135,107 @@ TEST_P(ShardedSelectionTest, ShardedMatchesUnsharded) {
   ASSERT_TRUE(model.ok());
   FusionOptions opts;
   const FusionResult base = (*model)->Fuse(data.db, PriorSet(), opts);
-  const auto engine = DeltaFusionEngine::Create(data.db, **model, opts);
-  ASSERT_NE(engine, nullptr);
+  const CompiledDatabase compiled(data.db);
+  const auto engine = DeltaFusionEngine::Create(compiled, **model, opts);
+  ASSERT_EQ(engine == nullptr, GetParam() == "accu_copy");
 
   const PriorSet priors;
+  FusionOptions scan_opts = opts;
   StrategyContext ctx;
   ctx.db = &data.db;
+  ctx.compiled = &compiled;
   ctx.fusion = &base;
   ctx.priors = &priors;
   ctx.model = model->get();
+  ctx.fusion_opts = &scan_opts;
   ctx.ground_truth = &data.truth;
   ctx.delta = engine.get();
 
-  FusionOptions unsharded = opts;
-  unsharded.shards = 1;
-  ctx.fusion_opts = &unsharded;
-  MeuStrategy flat_meu(/*num_threads=*/1);
-  const std::vector<ItemId> flat = flat_meu.SelectBatch(ctx, 3);
+  const auto select = [&](std::size_t shards) {
+    scan_opts.shards = shards;
+    if (engine == nullptr) return ApproxMeuStrategy(1).SelectBatch(ctx, 3);
+    return MeuStrategy(1).SelectBatch(ctx, 3);
+  };
+  const std::vector<ItemId> flat = select(1);
   ASSERT_FALSE(flat.empty());
-
   for (const std::size_t shards : {2u, 4u, 7u}) {
-    FusionOptions sharded = opts;
-    sharded.shards = shards;
-    ctx.fusion_opts = &sharded;
-    MeuStrategy meu(/*num_threads=*/1);
-    EXPECT_EQ(meu.SelectBatch(ctx, 3), flat) << "shards=" << shards;
+    EXPECT_EQ(select(shards), flat) << "shards=" << shards;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, ShardedSelectionTest,
-                         ::testing::Values("accu", "voting", "truthfinder"),
+                         ::testing::Values("accu", "voting", "truthfinder",
+                                           "accu_copy"),
                          [](const auto& info) { return info.param; });
+
+// A streaming session hands Approx-MEU the stream's live view, rebuilt in
+// place after every changing batch. Scores against it — unconfined and
+// shard-confined, on a multi-lane scan — must equal bit for bit the scores
+// against a fresh compile of the same database at every epoch, while the
+// batches keep adding items and sources.
+TEST(ShardedSelectionTest, GrowingViewScoresMatchFreshView) {
+  DenseConfig config;
+  config.num_items = 120;
+  config.num_sources = 16;
+  config.density = 0.5;
+  config.seed = 5;
+  config.emit_stream = true;
+  SyntheticDataset data = GenerateDense(config);
+  StreamingDatabase stream{Database()};
+  VectorFeed feed(std::move(data.stream), std::move(data.truth_stream),
+                  /*batch_size=*/96);
+  AccuFusion model;
+  const FusionOptions opts;
+  const PriorSet priors;
+  CandidateScan scan(/*num_threads=*/2);
+
+  std::size_t scored = 0;
+  std::size_t items_seen = 0;
+  std::size_t sources_seen = 0;
+  bool items_grew = false;
+  bool sources_grew = false;
+  IngestBatch batch;
+  while (feed.Next(&batch)) {
+    ASSERT_TRUE(stream.AppendBatch(batch).ok());
+    const FusionResult fusion = model.Fuse(stream.db(), priors, opts);
+    const CompiledDatabase fresh(stream.db());
+    StrategyContext live;
+    live.db = &stream.db();
+    live.compiled = &stream.compiled();
+    live.fusion = &fusion;
+    live.priors = &priors;
+    live.model = &model;
+    live.fusion_opts = &opts;
+    StrategyContext rebuilt = live;
+    rebuilt.compiled = &fresh;
+
+    const std::vector<ItemId> candidates = CandidateItems(live);
+    if (candidates.empty()) continue;
+    const std::uint64_t epoch = stream.epoch();
+    EXPECT_EQ(
+        ApproxMeuStrategy::ScoreCandidates(live, candidates, nullptr, &scan),
+        ApproxMeuStrategy::ScoreCandidates(rebuilt, candidates, nullptr,
+                                           &scan))
+        << "epoch " << epoch;
+    const ShardPartition live_partition(stream.compiled(), 3);
+    const ShardPartition fresh_partition(fresh, 3);
+    EXPECT_EQ(ApproxMeuStrategy::ScoreCandidates(live, candidates, nullptr,
+                                                 &scan, &live_partition),
+              ApproxMeuStrategy::ScoreCandidates(rebuilt, candidates, nullptr,
+                                                 &scan, &fresh_partition))
+        << "epoch " << epoch;
+    if (scored > 0) {
+      items_grew |= stream.db().num_items() > items_seen;
+      sources_grew |= stream.db().num_sources() > sources_seen;
+    }
+    items_seen = stream.db().num_items();
+    sources_seen = stream.db().num_sources();
+    ++scored;
+  }
+  EXPECT_GT(scored, 2u);
+  EXPECT_TRUE(items_grew);
+  EXPECT_TRUE(sources_grew);
+}
 
 TEST(ShardedSelectionTest, MoreShardsThanItems) {
   // Every populated shard holds one item; the rest are empty and must be
@@ -177,12 +251,14 @@ TEST(ShardedSelectionTest, MoreShardsThanItems) {
   AccuFusion model;
   FusionOptions opts;
   const FusionResult base = model.Fuse(db, PriorSet(), opts);
-  const auto engine = DeltaFusionEngine::Create(db, model, opts);
+  const CompiledDatabase compiled(db);
+  const auto engine = DeltaFusionEngine::Create(compiled, model, opts);
   ASSERT_NE(engine, nullptr);
 
   const PriorSet priors;
   StrategyContext ctx;
   ctx.db = &db;
+  ctx.compiled = &compiled;
   ctx.fusion = &base;
   ctx.priors = &priors;
   ctx.model = &model;
@@ -214,12 +290,14 @@ TEST(ShardedSelectionTest, ThreadCountDoesNotChangeShardedSelections) {
   FusionOptions opts;
   opts.shards = 4;
   const FusionResult base = model.Fuse(data.db, PriorSet(), opts);
-  const auto engine = DeltaFusionEngine::Create(data.db, model, opts);
+  const CompiledDatabase compiled(data.db);
+  const auto engine = DeltaFusionEngine::Create(compiled, model, opts);
   ASSERT_NE(engine, nullptr);
 
   const PriorSet priors;
   StrategyContext ctx;
   ctx.db = &data.db;
+  ctx.compiled = &compiled;
   ctx.fusion = &base;
   ctx.priors = &priors;
   ctx.model = &model;
@@ -251,22 +329,22 @@ TEST(ShardedSelectionTest, ConfinedScoreMatchesPerShardImpactFilter) {
   AccuFusion model;
   FusionOptions opts;
   const FusionResult base = model.Fuse(data.db, PriorSet(), opts);
-  const auto engine = DeltaFusionEngine::Create(data.db, model, opts);
+  const CompiledDatabase compiled(data.db);
+  const auto engine = DeltaFusionEngine::Create(compiled, model, opts);
   ASSERT_NE(engine, nullptr);
-  const ItemGraph graph(data.db);
 
   const PriorSet priors;
   StrategyContext ctx;
   ctx.db = &data.db;
+  ctx.compiled = &compiled;
   ctx.fusion = &base;
   ctx.priors = &priors;
   ctx.model = &model;
-  ctx.graph = &graph;
   ctx.delta = engine.get();
 
   const std::vector<ItemId> candidates = CandidateItems(ctx);
   ASSERT_FALSE(candidates.empty());
-  const ShardPartition partition(engine->compiled(), 3);
+  const ShardPartition partition(compiled, 3);
   const std::vector<double> confined = ApproxMeuStrategy::ScoreCandidates(
       ctx, candidates, /*impact_filter=*/nullptr, /*pool=*/nullptr,
       &partition);
@@ -304,17 +382,17 @@ TEST(ShardedSelectionTest, ApproxMeuShardThreadInvariance) {
   AccuFusion model;
   FusionOptions opts;
   const FusionResult base = model.Fuse(data.db, PriorSet(), opts);
-  const auto engine = DeltaFusionEngine::Create(data.db, model, opts);
+  const CompiledDatabase compiled(data.db);
+  const auto engine = DeltaFusionEngine::Create(compiled, model, opts);
   ASSERT_NE(engine, nullptr);
-  const ItemGraph graph(data.db);
 
   const PriorSet priors;
   StrategyContext ctx;
   ctx.db = &data.db;
+  ctx.compiled = &compiled;
   ctx.fusion = &base;
   ctx.priors = &priors;
   ctx.model = &model;
-  ctx.graph = &graph;
   ctx.ground_truth = &data.truth;
   ctx.delta = engine.get();
 

@@ -13,6 +13,7 @@
 #include "core/us.h"
 #include "data/example_data.h"
 #include "fusion/accu.h"
+#include "model/item_graph.h"
 
 namespace veritas {
 namespace {
@@ -22,23 +23,23 @@ class PaperExampleTest : public ::testing::Test {
   void SetUp() override {
     fusion_ = model_.Fuse(db_, opts_);
     ctx_.db = &db_;
+    ctx_.compiled = &compiled_;
     ctx_.fusion = &fusion_;
     ctx_.priors = &priors_;
     ctx_.model = &model_;
     ctx_.fusion_opts = &opts_;
     ctx_.ground_truth = &truth_;
-    ctx_.graph = &graph_;
     ctx_.include_singletons = true;
     ctx_.warm_start_lookahead = false;
   }
 
   Database db_ = MakeMovieDatabase();
+  CompiledDatabase compiled_{db_};
   GroundTruth truth_ = MakeMovieGroundTruth(db_);
   AccuFusion model_;
   FusionOptions opts_ = PaperExampleFusionOptions();
   FusionResult fusion_;
   PriorSet priors_;
-  ItemGraph graph_{db_};
   StrategyContext ctx_;
 };
 
@@ -69,11 +70,12 @@ TEST_F(PaperExampleTest, Table3FullComparison) {
 TEST_F(PaperExampleTest, MotivationValidatingZootopiaImpactsAllItems) {
   // §1.1: "validating Zootopia would impact all other items" — one-hop
   // neighbourhood covers the whole database.
+  const ItemGraph graph(db_);
   std::vector<ItemId> neighbors;
-  graph_.CollectNeighbors(*db_.FindItem("Zootopia"), &neighbors);
+  graph.CollectNeighbors(*db_.FindItem("Zootopia"), &neighbors);
   EXPECT_EQ(neighbors.size(), 5u);
   // "...validating Finding Dory would influence only Zootopia."
-  graph_.CollectNeighbors(*db_.FindItem("Finding Dory"), &neighbors);
+  graph.CollectNeighbors(*db_.FindItem("Finding Dory"), &neighbors);
   EXPECT_EQ(neighbors.size(), 1u);
 }
 

@@ -22,7 +22,6 @@
 #include "fusion/delta_fusion.h"
 #include "fusion/truthfinder.h"
 #include "fusion/voting.h"
-#include "model/item_graph.h"
 #include "obs/metrics.h"
 
 namespace veritas {
@@ -47,15 +46,15 @@ struct ScanFixture {
     data = GenerateDense(config);
     model = MakeModel(model_name);
     fusion = model->Fuse(data.db, priors, opts);
-    delta = DeltaFusionEngine::Create(data.db, *model, opts);
-    graph = std::make_unique<ItemGraph>(data.db);
+    compiled = std::make_unique<CompiledDatabase>(data.db);
+    delta = DeltaFusionEngine::Create(*compiled, *model, opts);
     ctx.db = &data.db;
+    ctx.compiled = compiled.get();
     ctx.fusion = &fusion;
     ctx.priors = &priors;
     ctx.model = model.get();
     ctx.fusion_opts = &opts;
     ctx.delta = delta.get();
-    ctx.graph = graph.get();
     ctx.ground_truth = &data.truth;
   }
 
@@ -70,8 +69,8 @@ struct ScanFixture {
   FusionOptions opts;
   PriorSet priors;
   FusionResult fusion;
+  std::unique_ptr<CompiledDatabase> compiled;
   std::unique_ptr<DeltaFusionEngine> delta;
-  std::unique_ptr<ItemGraph> graph;
   StrategyContext ctx;
 };
 

@@ -83,28 +83,38 @@ TEST_F(MovieGraphTest, AdjacencyIsSymmetric) {
 }
 
 TEST_F(MovieGraphTest, Degree) {
-  EXPECT_EQ(graph_.Degree(*db_.FindItem("Zootopia")), 5u);
-  EXPECT_EQ(graph_.Degree(*db_.FindItem("Finding Dory")), 1u);
+  // One-hop degrees of Figure 2: O1=5, O2=4, O3=4 (S2:O1,O5 + S3:O1,O2,O6),
+  // O4=1, O5=4 (S1:O2,O6 + S2:O1,O3), O6=4.
+  const std::size_t expected[] = {5, 4, 4, 1, 4, 4};
+  std::vector<ItemId> neighbors;
+  for (ItemId i = 0; i < db_.num_items(); ++i) {
+    graph_.CollectNeighbors(i, &neighbors);
+    EXPECT_EQ(neighbors.size(), expected[i]) << db_.item(i).name;
+  }
 }
 
 TEST_F(MovieGraphTest, AverageDegree) {
-  // Degrees: O1=5, O2=4, O3=4 (S2:O1,O5 + S3:O1,O2,O6), O4=1,
-  // O5=4 (S1:O2,O6 + S2:O1,O3), O6=4.
-  EXPECT_NEAR(graph_.AverageDegree(), (5 + 4 + 4 + 1 + 4 + 4) / 6.0, 1e-12);
+  // The mean one-hop degree of Figure 2, summed from the neighbour lists.
+  std::vector<ItemId> neighbors;
+  std::size_t total = 0;
+  for (ItemId i = 0; i < db_.num_items(); ++i) {
+    graph_.CollectNeighbors(i, &neighbors);
+    total += neighbors.size();
+  }
+  EXPECT_NEAR(static_cast<double>(total) / db_.num_items(),
+              (5 + 4 + 4 + 1 + 4 + 4) / 6.0, 1e-12);
 }
 
 TEST_F(MovieGraphTest, ConnectedViaMultiHopPath) {
-  // O2 and O4 are connected via <O2, S3, O1, S4, O4> (§4.2.3).
-  EXPECT_TRUE(graph_.Connected(*db_.FindItem("Kung Fu Panda"),
-                               *db_.FindItem("Finding Dory")));
-}
-
-TEST_F(MovieGraphTest, SelfIsConnected) {
-  EXPECT_TRUE(graph_.Connected(0, 0));
-}
-
-TEST_F(MovieGraphTest, SingleComponent) {
-  EXPECT_EQ(graph_.NumComponents(), 1u);
+  // O2 and O4 are connected via <O2, S3, O1, S4, O4> (§4.2.3): two hops,
+  // not one.
+  const auto has = [](const std::vector<std::string>& names, const char* n) {
+    return std::find(names.begin(), names.end(), n) != names.end();
+  };
+  const auto from_o2 = NeighborNames(db_, graph_, "Kung Fu Panda");
+  EXPECT_TRUE(has(from_o2, "Zootopia"));
+  EXPECT_FALSE(has(from_o2, "Finding Dory"));
+  EXPECT_TRUE(has(NeighborNames(db_, graph_, "Zootopia"), "Finding Dory"));
 }
 
 TEST(ItemGraphTest, DisconnectedComponents) {
@@ -115,18 +125,9 @@ TEST(ItemGraphTest, DisconnectedComponents) {
   ASSERT_TRUE(builder.AddObservation("sB", "b1", "z").ok());
   const Database db = builder.Build();
   const ItemGraph graph(db);
-  EXPECT_EQ(graph.NumComponents(), 2u);
-  EXPECT_FALSE(graph.Connected(*db.FindItem("a1"), *db.FindItem("b1")));
-  EXPECT_TRUE(graph.Connected(*db.FindItem("a1"), *db.FindItem("a2")));
-  EXPECT_EQ(graph.Degree(*db.FindItem("b1")), 0u);
-}
-
-TEST(ItemGraphTest, EmptyDatabase) {
-  DatabaseBuilder builder;
-  const Database db = builder.Build();
-  const ItemGraph graph(db);
-  EXPECT_EQ(graph.NumComponents(), 0u);
-  EXPECT_DOUBLE_EQ(graph.AverageDegree(), 0.0);
+  EXPECT_EQ(NeighborNames(db, graph, "a1"), std::vector<std::string>{"a2"});
+  EXPECT_EQ(NeighborNames(db, graph, "a2"), std::vector<std::string>{"a1"});
+  EXPECT_TRUE(NeighborNames(db, graph, "b1").empty());
 }
 
 TEST(ItemGraphTest, RepeatedQueriesAreConsistent) {

@@ -1,9 +1,13 @@
 // Property-based sweeps over the feedback strategies: contracts that every
 // strategy must honor on every dataset shape and seed, plus the key
 // analytical invariants of the decision-theoretic framework.
+#include <cmath>
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "core/approx_meu.h"
+#include "core/hybrid.h"
 #include "core/meu.h"
 #include "core/strategy_factory.h"
 #include "data/synthetic.h"
@@ -62,18 +66,18 @@ TEST_P(StrategyContractTest, BatchIsDistinctUnvalidatedConflicting) {
                         data.truth.TrueClaim(conflicting[i])).ok());
   }
   const FusionResult fusion = model.Fuse(data.db, priors, opts);
-  const ItemGraph graph(data.db);
   const GroundTruth& truth = data.truth;
   Rng rng(param.seed);
 
+  const CompiledDatabase compiled(data.db);
   StrategyContext ctx;
   ctx.db = &data.db;
+  ctx.compiled = &compiled;
   ctx.fusion = &fusion;
   ctx.priors = &priors;
   ctx.model = &model;
   ctx.fusion_opts = &opts;
   ctx.ground_truth = &truth;
-  ctx.graph = &graph;
   ctx.rng = &rng;
 
   auto strategy = MakeStrategy(param.strategy);
@@ -96,18 +100,18 @@ TEST_P(StrategyContractTest, SelectionIsDeterministicGivenSeed) {
   FusionOptions opts;
   PriorSet priors;
   const FusionResult fusion = model.Fuse(data.db, priors, opts);
-  const ItemGraph graph(data.db);
 
   auto run_once = [&]() {
     Rng rng(42);
+    const CompiledDatabase compiled(data.db);
     StrategyContext ctx;
     ctx.db = &data.db;
+    ctx.compiled = &compiled;
     ctx.fusion = &fusion;
     ctx.priors = &priors;
     ctx.model = &model;
     ctx.fusion_opts = &opts;
     ctx.ground_truth = &data.truth;
-    ctx.graph = &graph;
     ctx.rng = &rng;
     auto strategy = MakeStrategy(param.strategy);
     EXPECT_TRUE(strategy.ok());
@@ -142,18 +146,19 @@ TEST_P(DifferentialInvariantTest, FastEqualsLiteralEverywhere) {
   const SyntheticDataset data = Generate(/*dense=*/true, GetParam());
   AccuFusion model;
   const FusionResult fusion = model.Fuse(data.db, FusionOptions{});
+  const CompiledDatabase compiled(data.db);
   const auto conflicting = data.db.ConflictingItems();
+  AccuracyDeltas deltas;
+  std::vector<double> fast;
   // Spot-check a handful of validations on a handful of neighbours.
   for (std::size_t c = 0; c < conflicting.size(); c += 7) {
     const ItemId validated = conflicting[c];
     for (ClaimIndex t = 0; t < data.db.num_claims(validated); ++t) {
-      const AccuracyDeltas deltas =
-          ComputeAccuracyDeltas(data.db, fusion, validated, t);
+      ComputeAccuracyDeltas(compiled, fusion, validated, t, &deltas);
       for (std::size_t j = 0; j < data.db.num_items(); j += 11) {
         if (j == validated) continue;
-        const auto fast =
-            EstimateUpdatedProbs(data.db, fusion, static_cast<ItemId>(j),
-                                 deltas);
+        EstimateUpdatedProbs(compiled, fusion, static_cast<ItemId>(j), deltas,
+                             &fast);
         const auto literal = EstimateUpdatedProbsLiteral(
             data.db, fusion, static_cast<ItemId>(j), deltas);
         for (std::size_t k = 0; k < fast.size(); ++k) {
@@ -162,6 +167,92 @@ TEST_P(DifferentialInvariantTest, FastEqualsLiteralEverywhere) {
         }
       }
     }
+  }
+}
+
+// Brute-force Approx-MEU expected entropy (Eq. 13 under the one-hop
+// truncation), sharing nothing with the CSR kernel but the Eq. (9) deltas:
+// neighbours from a plain Database walk, the literal Eq. (10) form, and
+// Entropy over a fresh vector per neighbour.
+double ReferenceExpectedEntropy(const Database& db,
+                                const CompiledDatabase& compiled,
+                                const FusionResult& fusion,
+                                const PriorSet& priors, ItemId i,
+                                const std::vector<bool>* impact_filter) {
+  std::set<ItemId> neighbors;
+  for (const ItemVote& iv : db.item_votes(i)) {
+    for (const Vote& vote : db.source(iv.source).votes) {
+      if (vote.item != i) neighbors.insert(vote.item);
+    }
+  }
+  double total = 0.0;
+  for (ItemId j = 0; j < db.num_items(); ++j) total += fusion.ItemEntropy(j);
+  AccuracyDeltas deltas;
+  double expected = 0.0;
+  for (ClaimIndex t = 0; t < db.num_claims(i); ++t) {
+    const double pt = fusion.prob(i, t);
+    if (pt <= 0.0) continue;
+    ComputeAccuracyDeltas(compiled, fusion, i, t, &deltas);
+    double estimate = total - fusion.ItemEntropy(i);
+    for (ItemId j : neighbors) {
+      if (priors.Has(j) || db.num_claims(j) <= 1) continue;
+      if (impact_filter != nullptr && !(*impact_filter)[j]) continue;
+      estimate += Entropy(EstimateUpdatedProbsLiteral(db, fusion, j, deltas)) -
+                  fusion.ItemEntropy(j);
+    }
+    expected += pt * estimate;
+  }
+  return expected;
+}
+
+TEST_P(DifferentialInvariantTest, CsrKernelMatchesBruteForceReference) {
+  for (const bool dense : {true, false}) {
+    const SyntheticDataset data = Generate(dense, GetParam());
+    AccuFusion model;
+    FusionOptions opts;
+    // Pin every fifth conflicting item, so some neighbours are pinned. The
+    // pins are soft (confidence feedback): a one-hot pin would not move
+    // under the estimate anyway, so only a soft one shows that pinned
+    // neighbours are left out.
+    PriorSet priors;
+    const auto conflicting = data.db.ConflictingItems();
+    for (std::size_t c = 0; c < conflicting.size(); c += 5) {
+      const ItemId item = conflicting[c];
+      const std::size_t n = data.db.num_claims(item);
+      std::vector<double> soft(n, 0.2 / static_cast<double>(n - 1));
+      soft[data.truth.TrueClaim(item)] = 0.8;
+      ASSERT_TRUE(priors.SetDistribution(data.db, item, soft).ok());
+    }
+    const FusionResult fusion = model.Fuse(data.db, priors, opts);
+    const CompiledDatabase compiled(data.db);
+    StrategyContext ctx;
+    ctx.db = &data.db;
+    ctx.compiled = &compiled;
+    ctx.fusion = &fusion;
+    ctx.priors = &priors;
+    ctx.model = &model;
+    ctx.fusion_opts = &opts;
+    // Approx-MEU_k's impact filter: its top-20% candidate set.
+    std::vector<bool> top_k(data.db.num_items(), false);
+    for (ItemId j : ApproxMeuKStrategy::FilterCandidates(ctx, 20.0)) {
+      top_k[j] = true;
+    }
+
+    std::size_t singletons = 0;
+    for (ItemId i = 0; i < data.db.num_items(); ++i) {
+      if (!data.db.HasConflict(i)) ++singletons;
+      const std::vector<bool>* filters[] = {nullptr, &top_k};
+      for (const std::vector<bool>* filter : filters) {
+        const double want = ReferenceExpectedEntropy(
+            data.db, compiled, fusion, priors, i, filter);
+        const double got =
+            ApproxMeuStrategy::ExpectedEntropyAfterValidation(ctx, i, filter);
+        EXPECT_NEAR(got, want, 1e-9 * std::fabs(want))
+            << (dense ? "dense" : "longtail") << " item " << i
+            << (filter != nullptr ? " (top-k filter)" : "");
+      }
+    }
+    EXPECT_GT(singletons, 0u) << (dense ? "dense" : "longtail");
   }
 }
 
@@ -180,14 +271,14 @@ TEST_P(DifferentialInvariantTest, MeuAndApproxAgreeOnObviousWinner) {
   FusionOptions opts;
   PriorSet priors;
   const FusionResult fusion = model.Fuse(data.db, priors, opts);
-  const ItemGraph graph(data.db);
+  const CompiledDatabase compiled(data.db);
   StrategyContext ctx;
   ctx.db = &data.db;
+  ctx.compiled = &compiled;
   ctx.fusion = &fusion;
   ctx.priors = &priors;
   ctx.model = &model;
   ctx.fusion_opts = &opts;
-  ctx.graph = &graph;
 
   MeuStrategy meu;
   ApproxMeuStrategy approx;

@@ -177,7 +177,7 @@ Status RunRank(const ArgMap& args) {
   FusionOptions opts;
   PriorSet priors;
   const FusionResult fusion = model.Fuse(db, priors, opts);
-  const ItemGraph graph(db);
+  const CompiledDatabase compiled(db);
   Rng rng(42);
   GroundTruth truth(db);
   if (args.Has("truth")) {
@@ -186,12 +186,12 @@ Status RunRank(const ArgMap& args) {
 
   StrategyContext ctx;
   ctx.db = &db;
+  ctx.compiled = &compiled;
   ctx.fusion = &fusion;
   ctx.priors = &priors;
   ctx.model = &model;
   ctx.fusion_opts = &opts;
   ctx.ground_truth = &truth;
-  ctx.graph = &graph;
   ctx.rng = &rng;
 
   const std::vector<ItemId> ranked =
