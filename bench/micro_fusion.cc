@@ -95,10 +95,11 @@ void BM_ClaimProbabilities(benchmark::State& state) {
   const SyntheticDataset data = MakeDataset(1000);
   AccuFusion model;
   const FusionResult fused = model.Fuse(data.db, FusionOptions{});
+  const CompiledDatabase compiled(data.db);
   ItemId i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(AccuFusion::ClaimProbabilities(
-        data.db, i, fused.accuracies()));
+        compiled, i, fused.accuracies()));
     i = (i + 1) % static_cast<ItemId>(data.db.num_items());
   }
 }

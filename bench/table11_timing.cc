@@ -10,6 +10,7 @@
 // Shape to reproduce: QBC/US orders of magnitude faster than the
 // decision-theoretic methods; Approx-MEU roughly two orders of magnitude
 // faster than MEU. Absolute numbers differ (C++ vs Java, scaled datasets).
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <iostream>
@@ -39,18 +40,19 @@ namespace {
 // evaluated by pointer-chasing the nested Item/Claim/Source adjacency with a
 // std::log per (claim, source) pair per iteration. Kept verbatim as the
 // reference baseline the BENCH_fusion.json speedups are measured against.
+// It walks the Database it was built for and reads nothing from the view it
+// is handed, which must describe that same database.
 class ReferenceAccuFusion : public FusionModel {
  public:
+  explicit ReferenceAccuFusion(const Database& db) : db_(db) {}
+
   std::string name() const override { return "accu_reference"; }
 
-  FusionResult Fuse(const Database& db, const PriorSet& priors,
-                    const FusionOptions& opts) const override {
-    return Fuse(db, priors, opts, nullptr);
-  }
-
-  FusionResult Fuse(const Database& db, const PriorSet& priors,
-                    const FusionOptions& opts,
-                    const FusionResult* warm) const override {
+ protected:
+  FusionResult FuseCompiled(const CompiledDatabase& /*c*/,
+                            const PriorSet& priors, const FusionOptions& opts,
+                            const FusionResult* warm) const override {
+    const Database& db = db_;
     FusionResult result(db, opts.initial_accuracy);
     std::vector<double> accuracies =
         warm != nullptr ? warm->accuracies()
@@ -96,16 +98,18 @@ class ReferenceAccuFusion : public FusionModel {
                                   const std::vector<double>& accuracies,
                                   FusionResult* result) {
     for (ItemId i = 0; i < db.num_items(); ++i) {
-      std::vector<double>* probs = result->mutable_item_probs(i);
+      const std::span<double> probs = result->mutable_item_probs(i);
       if (priors.Has(i)) {
-        *probs = priors.Get(i);
+        const std::vector<double>& p = priors.Get(i);
+        std::copy(p.begin(), p.end(), probs.begin());
         continue;
       }
       if (db.num_claims(i) == 1) {
-        (*probs)[0] = 1.0;
+        probs[0] = 1.0;
         continue;
       }
-      *probs = ClaimProbabilities(db, i, accuracies);
+      const std::vector<double> p = ClaimProbabilities(db, i, accuracies);
+      std::copy(p.begin(), p.end(), probs.begin());
     }
   }
 
@@ -124,6 +128,8 @@ class ReferenceAccuFusion : public FusionModel {
     }
     return max_delta;
   }
+
+  const Database& db_;
 };
 
 // Mean select-time over a few validations (metrics recording off so only
@@ -255,7 +261,8 @@ int WriteBenchJson(const std::string& path, ScaleMode mode) {
         MakePopulationLike(mode)}) {
     const Database& db = dataset.data.db;
     AccuFusion model;
-    ReferenceAccuFusion reference;
+    ReferenceAccuFusion reference(db);
+    const CompiledDatabase compiled(db);
     FusionOptions opts;
     const FusionResult base = model.Fuse(db, PriorSet(), opts);
     const ItemId pin = db.ConflictingItems().front();
@@ -263,14 +270,14 @@ int WriteBenchJson(const std::string& path, ScaleMode mode) {
     priors.SetExact(db, pin, 0);
 
     const double baseline_s =
-        SecondsPerOp([&] { reference.Fuse(db, priors, opts, &base); });
+        SecondsPerOp([&] { reference.Fuse(compiled, priors, opts, &base); });
     const double full_s =
         SecondsPerOp([&] { model.Fuse(db, priors, opts); });
     const double warm_s =
         SecondsPerOp([&] { model.Fuse(db, priors, opts, &base); });
     const double prob_diff_vs_baseline =
         MaxProbDiff(db, model.Fuse(db, priors, opts, &base),
-                    reference.Fuse(db, priors, opts, &base));
+                    reference.Fuse(compiled, priors, opts, &base));
 
     const std::size_t actions = 3;
     const double meu_baseline_s = MeanSelectSeconds(

@@ -31,20 +31,26 @@ class TrustedSourcesFusion : public FusionModel {
 
   std::string name() const override { return "trusted_sources"; }
 
-  FusionResult Fuse(const Database& db, const PriorSet& priors,
-                    const FusionOptions& opts) const override {
-    FusionResult result(db, opts.initial_accuracy);
-    for (ItemId i = 0; i < db.num_items(); ++i) {
-      std::vector<double>* probs = result.mutable_item_probs(i);
+ protected:
+  // The one method a model implements: fusion over the compiled (CSR) view
+  // of the database. The result is laid out by the view's global claim ids.
+  FusionResult FuseCompiled(const CompiledDatabase& c, const PriorSet& priors,
+                            const FusionOptions& opts,
+                            const FusionResult* /*warm*/) const override {
+    FusionResult result(c, opts.initial_accuracy);
+    for (ItemId i = 0; i < c.num_items(); ++i) {
+      const std::span<double> probs = result.mutable_item_probs(i);
       if (priors.Has(i)) {
-        *probs = priors.Get(i);
+        const std::vector<double>& prior = priors.Get(i);
+        std::copy(prior.begin(), prior.end(), probs.begin());
         continue;
       }
-      std::vector<double> mass(db.num_claims(i), 0.0);
-      for (const ItemVote& vote : db.item_votes(i)) {
-        mass[vote.claim] += IsTrusted(vote.source) ? 2.0 : 1.0;
-      }
-      *probs = Normalize(mass);
+      std::vector<double> mass(c.item_num_claims(i), 0.0);
+      c.ForEachItemVote(i, [&](SourceId source, ClaimIndex claim) {
+        mass[claim] += IsTrusted(source) ? 2.0 : 1.0;
+      });
+      const std::vector<double> normalized = Normalize(mass);
+      std::copy(normalized.begin(), normalized.end(), probs.begin());
     }
     result.set_iterations(1);
     result.set_converged(true);

@@ -38,14 +38,14 @@ int main() {
 
   std::printf("\n== Examples 4.1/4.2: vote entropy (QBC) and fusion-output "
               "entropy (US) ==\n");
+  const CompiledDatabase compiled(db);
   for (ItemId i = 0; i < db.num_items(); ++i) {
     std::printf("O%-2u %-14s: vote entropy %.3f   output entropy %.3f\n",
-                i + 1, db.item(i).name.c_str(), VoteEntropy(db, i),
+                i + 1, db.item(i).name.c_str(), VoteEntropy(compiled, i),
                 fused.ItemEntropy(i));
   }
 
   const PriorSet no_priors;
-  const CompiledDatabase compiled(db);
   StrategyContext ctx;
   ctx.db = &db;
   ctx.compiled = &compiled;

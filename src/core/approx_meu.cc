@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "fusion/accu.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/math.h"
@@ -53,9 +52,9 @@ void EstimateUpdatedProbs(const CompiledDatabase& compiled,
                           const AccuracyDeltas& deltas,
                           std::vector<double>* updated) {
   assert(deltas.g_weight.size() == compiled.num_sources());
-  const std::vector<double>& probs = fusion.item_probs(j);
+  const std::span<const double> probs = fusion.item_probs(j);
   if (probs.size() <= 1) {
-    *updated = probs;
+    updated->assign(probs.begin(), probs.end());
     return;
   }
   // g(v) per claim of item j (Eq. 10), accumulated in place. Sources the
@@ -78,17 +77,25 @@ std::vector<double> EstimateUpdatedProbsLiteral(const Database& db,
                                                 const FusionResult& fusion,
                                                 ItemId j,
                                                 const AccuracyDeltas& deltas) {
-  const std::vector<double>& probs = fusion.item_probs(j);
-  if (probs.size() <= 1) return probs;
+  const std::span<const double> probs = fusion.item_probs(j);
+  if (probs.size() <= 1) return {probs.begin(), probs.end()};
   std::vector<double> g(probs.size(), 0.0);
   for (const ItemVote& iv : db.item_votes(j)) {
     g[iv.claim] += deltas.delta[iv.source] *
                    OddsDerivativeFactor(fusion.accuracy(iv.source));
   }
   // f(r, v) of Eq. (15) as exp(score(v) - score(r)) over the current
-  // accuracies.
-  const std::vector<double> scores =
-      AccuFusion::ClaimLogScores(db, j, fusion.accuracies());
+  // accuracies, with the Eq. (1) log-scores walked over the nested database
+  // so the oracle shares no code with the CSR kernel.
+  const Item& o = db.item(j);
+  const double false_values = static_cast<double>(o.claims.size()) - 1.0;
+  std::vector<double> scores(o.claims.size(), 0.0);
+  for (ClaimIndex k = 0; k < o.claims.size(); ++k) {
+    for (SourceId s : o.claims[k].sources) {
+      const double a = ClampAccuracy(fusion.accuracy(s));
+      scores[k] += std::log(false_values * a / (1.0 - a));
+    }
+  }
   std::vector<double> updated(probs.size());
   for (ClaimIndex r = 0; r < probs.size(); ++r) {
     double sum = 0.0;

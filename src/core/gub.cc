@@ -22,19 +22,19 @@ double GubStrategy::CandidateGain(const StrategyContext& ctx, ItemId item,
     PriorSet lookahead = *ctx.priors;
     lookahead.SetExact(db, item, t);
     const FusionResult result = ctx.model->Fuse(
-        db, lookahead, *ctx.fusion_opts,
+        *ctx.compiled, lookahead, *ctx.fusion_opts,
         ctx.warm_start_lookahead ? ctx.fusion : nullptr);
     return GroundTruthUtility(db, result, truth) - current_utility;
   }
   // Definition 4: VPI = sum_k U(D, F | v_i^k true) p_i^k - U(D, F).
   double expected = 0.0;
-  for (ClaimIndex k = 0; k < db.num_claims(item); ++k) {
+  for (ClaimIndex k = 0; k < ctx.compiled->item_num_claims(item); ++k) {
     const double pk = ctx.fusion->prob(item, k);
     if (pk <= 0.0) continue;
     PriorSet lookahead = *ctx.priors;
     lookahead.SetExact(db, item, k);
     const FusionResult result = ctx.model->Fuse(
-        db, lookahead, *ctx.fusion_opts,
+        *ctx.compiled, lookahead, *ctx.fusion_opts,
         ctx.warm_start_lookahead ? ctx.fusion : nullptr);
     expected += pk * GroundTruthUtility(db, result, truth);
   }

@@ -29,7 +29,6 @@ std::string ApproxMeuKStrategy::name() const {
 
 std::vector<ItemId> ApproxMeuKStrategy::FilterCandidates(
     const StrategyContext& ctx, double k_percent) {
-  const Database& db = *ctx.db;
   std::vector<ItemId> candidates = CandidateItems(ctx);
   if (candidates.empty()) return candidates;
 
@@ -37,7 +36,7 @@ std::vector<ItemId> ApproxMeuKStrategy::FilterCandidates(
   std::vector<double> vote_h(candidates.size());
   std::vector<double> fusion_h(candidates.size());
   for (std::size_t idx = 0; idx < candidates.size(); ++idx) {
-    vote_h[idx] = VoteEntropy(db, candidates[idx]);
+    vote_h[idx] = VoteEntropy(*ctx.compiled, candidates[idx]);
     fusion_h[idx] = ctx.fusion->ItemEntropy(candidates[idx]);
   }
   std::vector<std::size_t> order(candidates.size());
@@ -76,7 +75,7 @@ std::vector<ItemId> ApproxMeuKStrategy::SelectBatch(const StrategyContext& ctx,
   if (HardStopRequested(ctx.cancel)) return {};
   // Impact computation is restricted to the same top-k% set (§B.3: "We
   // compute only the impact of these ... data items on each other").
-  std::vector<bool> impact_filter(ctx.db->num_items(), false);
+  std::vector<bool> impact_filter(ctx.compiled->num_items(), false);
   for (ItemId i : candidates) impact_filter[i] = true;
   const std::vector<double> gains = ApproxMeuStrategy::ScoreCandidates(
       ctx, candidates, &impact_filter, &scan_);

@@ -13,7 +13,7 @@ InteractiveSession::InteractiveSession(const Database& db,
       rng_(rng),
       compiled_(db) {
   strategy_->Reset();
-  fusion_ = model_.Fuse(db_, priors_, fusion_options_);
+  fusion_ = model_.Fuse(compiled_, priors_, fusion_options_);
 }
 
 StrategyContext InteractiveSession::MakeContext() {
@@ -30,7 +30,8 @@ StrategyContext InteractiveSession::MakeContext() {
 }
 
 void InteractiveSession::Refuse() {
-  FusionResult next = model_.Fuse(db_, priors_, fusion_options_, &fusion_);
+  FusionResult next =
+      model_.Fuse(compiled_, priors_, fusion_options_, &fusion_);
   if (!next.converged()) ++nonconverged_fusions_;
   if (!next.AllFinite()) {
     // Keep the last-good fusion: a NaN readout would corrupt every
@@ -112,7 +113,7 @@ Status InteractiveSession::RetractFeedback(ItemId item) {
   priors_.Erase(item);
   // Retraction invalidates the warm start less gracefully; re-fuse cold to
   // avoid anchoring on the retracted knowledge.
-  fusion_ = model_.Fuse(db_, priors_, fusion_options_);
+  fusion_ = model_.Fuse(compiled_, priors_, fusion_options_);
   return Status::OK();
 }
 

@@ -78,15 +78,14 @@ double MeuStrategy::ExpectedEntropyAfterValidation(const StrategyContext& ctx,
     DeltaFusionEngine::Workspace ws;
     return ExpectedEntropyAfterValidation(ctx, item, base, ws);
   }
-  const Database& db = *ctx.db;
   double expected = 0.0;
-  for (ClaimIndex k = 0; k < db.num_claims(item); ++k) {
+  for (ClaimIndex k = 0; k < ctx.compiled->item_num_claims(item); ++k) {
     const double pk = ctx.fusion->prob(item, k);
     if (pk <= 0.0) continue;  // Zero-probability hypotheses contribute 0.
     PriorSet lookahead = *ctx.priors;
-    lookahead.SetExact(db, item, k);
+    lookahead.SetExact(*ctx.db, item, k);
     const FusionResult result = ctx.model->Fuse(
-        db, lookahead, *ctx.fusion_opts,
+        *ctx.compiled, lookahead, *ctx.fusion_opts,
         ctx.warm_start_lookahead ? ctx.fusion : nullptr);
     expected += pk * result.TotalEntropy();
   }
@@ -97,9 +96,8 @@ double MeuStrategy::ExpectedEntropyAfterValidation(
     const StrategyContext& ctx, ItemId item,
     const DeltaFusionEngine::BaseState& base,
     DeltaFusionEngine::Workspace& ws) {
-  const Database& db = *ctx.db;
   double expected = 0.0;
-  for (ClaimIndex k = 0; k < db.num_claims(item); ++k) {
+  for (ClaimIndex k = 0; k < ctx.compiled->item_num_claims(item); ++k) {
     const double pk = ctx.fusion->prob(item, k);
     if (pk <= 0.0) continue;
     if (pk < kNegligiblePinMass) {
@@ -237,9 +235,8 @@ std::vector<double> MeuStrategy::ScanCandidateGains(
     LaneScratch& scratch = lanes_[lane];
     std::vector<std::pair<double, ClaimIndex>>& claims = scratch.claims;
     claims.clear();
-    const Database& db = *ctx.db;
     double total_mass = 0.0;
-    for (ClaimIndex k = 0; k < db.num_claims(item); ++k) {
+    for (ClaimIndex k = 0; k < ctx.compiled->item_num_claims(item); ++k) {
       const double pk = ctx.fusion->prob(item, k);
       if (pk <= 0.0) continue;
       claims.emplace_back(pk, k);

@@ -14,12 +14,19 @@
 //   * branch-and-bound pruning: candidates are visited best-first (seeded by
 //     last round's ranking), a shared monotone threshold tracks the batch-th
 //     best exact gain, and a candidate is abandoned — a priori or mid-claim —
-//     once an upper bound on its gain provably falls below that threshold;
+//     once an upper bound on its gain falls below that threshold;
 //   * the delta engine's flat SoA frontier passes (fusion/delta_fusion.h).
-// Selections are deterministic for any thread count: the threshold is only
-// ever fed *exact* gains, so every true top-batch candidate is evaluated
-// exactly, and pruned candidates record a bound strictly below the final
-// threshold. Requires ctx.model and ctx.fusion_opts.
+// The bound is a heuristic, not a proof: (1 + kPruneMarginRel) * H_item
+// caps a pin's ripple into other items only empirically (for Accu the
+// ripple is unbounded in adversarial constructions; Voting has none, so
+// there the bound is exact). When it fails, a pruned candidate's true gain
+// beats the selection, so pruned MEU can pick other items than the exact
+// unpruned scan. Which candidates are pruned also depends on the order in
+// which lanes raise the shared threshold, so selections can differ between
+// thread counts too: `perfbench/run.py --workload meu_books --seed 13`
+// trips the gate with "selections differ between 1 and 2 lanes" (see the
+// ROADMAP's selection-identity item). Requires ctx.model and
+// ctx.fusion_opts.
 #ifndef VERITAS_CORE_MEU_H_
 #define VERITAS_CORE_MEU_H_
 
@@ -35,8 +42,9 @@ namespace veritas {
 
 /// Knobs of the pruned lookahead scan.
 struct MeuScanOptions {
-  /// Branch-and-bound pruning of provably non-winning candidates. Only
-  /// active on the delta-fusion path with more candidates than the batch.
+  /// Branch-and-bound pruning of candidates whose (heuristic) gain bound
+  /// falls below the running threshold. Only active on the delta-fusion
+  /// path with more candidates than the batch.
   bool prune = true;
 };
 

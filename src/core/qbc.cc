@@ -4,20 +4,20 @@ namespace veritas {
 
 std::vector<ItemId> QbcStrategy::SelectBatch(const StrategyContext& ctx,
                                              std::size_t batch) {
-  const Database& db = *ctx.db;
-  const std::uint64_t epoch = ctx.compiled->epoch();
-  if (ranked_.empty() || ranked_db_ != &db || ranked_epoch_ != epoch ||
+  const CompiledDatabase& c = *ctx.compiled;
+  const std::uint64_t epoch = c.epoch();
+  if (ranked_.empty() || ranked_db_ != ctx.db || ranked_epoch_ != epoch ||
       ranked_includes_singletons_ != ctx.include_singletons) {
     std::vector<ItemId> candidates;
-    for (ItemId i = 0; i < db.num_items(); ++i) {
-      if (!ctx.include_singletons && !db.HasConflict(i)) continue;
+    for (ItemId i = 0; i < c.num_items(); ++i) {
+      if (!ctx.include_singletons && c.item_num_claims(i) < 2) continue;
       candidates.push_back(i);
     }
     std::vector<double> scores;
     scores.reserve(candidates.size());
-    for (ItemId i : candidates) scores.push_back(VoteEntropy(db, i));
+    for (ItemId i : candidates) scores.push_back(VoteEntropy(c, i));
     ranked_ = TopKByScore(candidates, scores, candidates.size());
-    ranked_db_ = &db;
+    ranked_db_ = ctx.db;
     ranked_epoch_ = epoch;
     ranked_includes_singletons_ = ctx.include_singletons;
   }

@@ -53,15 +53,14 @@ double SequentialMeuStrategy::TwoStepExpectedEntropy(
     const StrategyContext& ctx, ItemId item, std::size_t inner_beam) {
   assert(ctx.model != nullptr && ctx.fusion_opts != nullptr &&
          "SequentialMeu requires ctx.model and ctx.fusion_opts");
-  const Database& db = *ctx.db;
   double expected = 0.0;
-  for (ClaimIndex k = 0; k < db.num_claims(item); ++k) {
+  for (ClaimIndex k = 0; k < ctx.compiled->item_num_claims(item); ++k) {
     const double pk = ctx.fusion->prob(item, k);
     if (pk <= 0.0) continue;
     PriorSet lookahead = *ctx.priors;
-    lookahead.SetExact(db, item, k);
+    lookahead.SetExact(*ctx.db, item, k);
     const FusionResult state =
-        ctx.model->Fuse(db, lookahead, *ctx.fusion_opts,
+        ctx.model->Fuse(*ctx.compiled, lookahead, *ctx.fusion_opts,
                         ctx.warm_start_lookahead ? ctx.fusion : nullptr);
     expected += pk * BestFollowUpEntropy(ctx, lookahead, state, inner_beam);
   }

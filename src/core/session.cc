@@ -54,6 +54,12 @@ std::size_t ApproxVectorBytes(const std::vector<double>& v) {
   return sizeof(v) + v.capacity() * sizeof(double);
 }
 
+std::size_t ApproxFusionBytes(const FusionResult& fusion) {
+  return ApproxVectorBytes(fusion.accuracies()) +
+         fusion.probs().size() * sizeof(double) +
+         (fusion.num_items() + 1) * sizeof(std::uint32_t);
+}
+
 /// Approximate resident bytes of the session's dominant heap state: the
 /// recorded trace (steps + priors) and the live fusion posteriors (counted
 /// twice — current result plus the in-flight re-fusion that momentarily
@@ -72,11 +78,7 @@ std::size_t ApproxSessionBytes(const SessionTrace& trace,
   for (const auto& entry : trace.priors) {
     bytes += 64 + ApproxVectorBytes(entry.second);
   }
-  std::size_t fusion_bytes = ApproxVectorBytes(fusion.accuracies());
-  for (ItemId i = 0; i < fusion.num_items(); ++i) {
-    fusion_bytes += ApproxVectorBytes(fusion.item_probs(i));
-  }
-  return bytes + 2 * fusion_bytes;
+  return bytes + 2 * ApproxFusionBytes(fusion);
 }
 
 }  // namespace
@@ -253,12 +255,12 @@ Result<SessionTrace> FeedbackSession::Run() {
   // start: appended sources start at the initial accuracy
   // (WarmStartAccuracies).
   const auto refuse = [&] {
-    return model_.Fuse(db_, trace.priors, options_.fusion,
+    return model_.Fuse(compiled, trace.priors, options_.fusion,
                        options_.warm_start ? &fusion : nullptr);
   };
 
   if (!resumed) {
-    fusion = model_.Fuse(db_, trace.priors, options_.fusion);
+    fusion = model_.Fuse(compiled, trace.priors, options_.fusion);
     trace.initial_distance = DistanceToGroundTruth(db_, fusion, truth_);
     trace.initial_uncertainty = Uncertainty(fusion);
   }

@@ -1,5 +1,6 @@
 #include "core/session_checkpoint.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -211,7 +212,7 @@ Status SaveSessionCheckpoint(const SessionCheckpoint& checkpoint,
       << fusion.accuracies().size() << " " << fusion.iterations() << " "
       << (fusion.converged() ? 1 : 0) << "\n";
   for (ItemId i = 0; i < fusion.num_items(); ++i) {
-    const std::vector<double>& probs = fusion.item_probs(i);
+    const std::span<const double> probs = fusion.item_probs(i);
     out << "fprob " << i << " " << probs.size();
     for (double p : probs) out << " " << HexDouble(p);
     out << "\n";
@@ -345,8 +346,10 @@ Result<SessionCheckpoint> LoadCheckpointGeneration(const std::string& path,
       return Status::InvalidArgument(
           "checkpoint: fusion probs do not match database shape");
     }
-    VERITAS_ASSIGN_OR_RETURN(*cp.fusion.mutable_item_probs(item),
+    VERITAS_ASSIGN_OR_RETURN(const std::vector<double> probs,
                              ReadDoubles(in, num_claims));
+    std::copy(probs.begin(), probs.end(),
+              cp.fusion.mutable_item_probs(item).begin());
   }
   VERITAS_RETURN_IF_ERROR(ExpectTag(in, "facc"));
   std::size_t num_accuracies = 0;

@@ -15,11 +15,11 @@ ItemId Strategy::SelectNext(const StrategyContext& ctx) {
 
 std::vector<ItemId> CandidateItems(const StrategyContext& ctx) {
   std::vector<ItemId> out;
-  const Database& db = *ctx.db;
-  for (ItemId i = 0; i < db.num_items(); ++i) {
+  const CompiledDatabase& c = *ctx.compiled;
+  for (ItemId i = 0; i < c.num_items(); ++i) {
     if (ctx.priors->Has(i)) continue;
     if (ctx.excluded != nullptr && ctx.excluded->count(i) > 0) continue;
-    if (!ctx.include_singletons && !db.HasConflict(i)) continue;
+    if (!ctx.include_singletons && c.item_num_claims(i) < 2) continue;
     if (ctx.require_known_truth && ctx.ground_truth != nullptr &&
         !ctx.ground_truth->Knows(i)) {
       continue;
@@ -46,8 +46,8 @@ std::vector<ItemId> TopKByScore(const std::vector<ItemId>& candidates,
   return out;
 }
 
-double VoteEntropy(const Database& db, ItemId item) {
-  return Entropy(VotingFusion::VoteShares(db, item));
+double VoteEntropy(const CompiledDatabase& c, ItemId item) {
+  return Entropy(VotingFusion::VoteShares(c, item));
 }
 
 }  // namespace veritas

@@ -101,7 +101,7 @@ std::vector<ItemId> TopKByScore(const std::vector<ItemId>& candidates,
 
 /// Vote entropy of an item (Eq. 3 over the Eq. 5 vote shares) — the QBC
 /// score, also used by the hybrid Approx-MEU_k filter.
-double VoteEntropy(const Database& db, ItemId item);
+double VoteEntropy(const CompiledDatabase& c, ItemId item);
 
 }  // namespace veritas
 

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "model/compiled_database.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/math.h"
@@ -23,39 +22,21 @@ void SoftmaxInto(const double* scores, std::size_t n, double* probs) {
   for (std::size_t k = 0; k < n; ++k) probs[k] = std::exp(scores[k] - lse);
 }
 
-// Items whose distribution never changes across iterations: pinned items
-// copy their prior once, single-claim items are certainly true. Returns one
-// flag per item and writes the constant distributions into `probs` (indexed
-// by global claim id).
-std::vector<char> MarkFixedItems(const CompiledDatabase& c,
-                                 const PriorSet& priors,
-                                 std::vector<double>* probs) {
-  std::vector<char> fixed(c.num_items(), 0);
-  for (ItemId i = 0; i < c.num_items(); ++i) {
-    const std::uint32_t g = c.claim_offset(i);
-    if (priors.Has(i)) {
-      const std::vector<double>& p = priors.Get(i);
-      for (std::size_t k = 0; k < p.size(); ++k) (*probs)[g + k] = p[k];
-      fixed[i] = 1;
-    } else if (c.item_num_claims(i) == 1) {
-      (*probs)[g] = 1.0;
-      fixed[i] = 1;
-    }
-  }
-  return fixed;
-}
-
 }  // namespace
 
 std::vector<double> AccuFusion::ClaimLogScores(
-    const Database& db, ItemId item, const std::vector<double>& accuracies) {
-  const Item& o = db.item(item);
-  const double false_values = static_cast<double>(o.claims.size()) - 1.0;
-  std::vector<double> scores(o.claims.size(), 0.0);
-  for (ClaimIndex k = 0; k < o.claims.size(); ++k) {
+    const CompiledDatabase& c, ItemId item,
+    const std::vector<double>& accuracies) {
+  const std::size_t n = c.item_num_claims(item);
+  const double false_values = static_cast<double>(n) - 1.0;
+  const std::vector<SourceId>& claim_sources = c.claim_sources();
+  std::vector<double> scores(n, 0.0);
+  for (ClaimIndex k = 0; k < n; ++k) {
+    const std::uint32_t g = c.claim_offset(item) + k;
     double score = 0.0;
-    for (SourceId s : o.claims[k].sources) {
-      const double a = ClampAccuracy(accuracies[s]);
+    for (std::uint32_t v = c.claim_sources_begin(g);
+         v < c.claim_sources_end(g); ++v) {
+      const double a = ClampAccuracy(accuracies[claim_sources[v]]);
       score += std::log(false_values * a / (1.0 - a));
     }
     scores[k] = score;
@@ -64,14 +45,10 @@ std::vector<double> AccuFusion::ClaimLogScores(
 }
 
 std::vector<double> AccuFusion::ClaimProbabilities(
-    const Database& db, ItemId item, const std::vector<double>& accuracies) {
-  if (db.num_claims(item) == 1) return {1.0};
-  return SoftmaxFromLogScores(ClaimLogScores(db, item, accuracies));
-}
-
-FusionResult AccuFusion::Fuse(const Database& db, const PriorSet& priors,
-                              const FusionOptions& opts) const {
-  return Fuse(db, priors, opts, nullptr);
+    const CompiledDatabase& c, ItemId item,
+    const std::vector<double>& accuracies) {
+  if (c.item_num_claims(item) == 1) return {1.0};
+  return SoftmaxFromLogScores(ClaimLogScores(c, item, accuracies));
 }
 
 // The alternation of Eq. (1) and Eq. (2) over the CSR view: all state lives
@@ -79,9 +56,10 @@ FusionResult AccuFusion::Fuse(const Database& db, const PriorSet& priors,
 // log-odds ln(A/(1-A)) is tabulated once per iteration so the claim-scoring
 // loop does lookups instead of a std::log per (claim, source) pair. The
 // per-item factor ln(|V_i|-1) folds in as voters * log_false_values(i).
-FusionResult AccuFusion::Fuse(const Database& db, const PriorSet& priors,
-                              const FusionOptions& opts,
-                              const FusionResult* warm) const {
+FusionResult AccuFusion::FuseCompiled(const CompiledDatabase& c,
+                                      const PriorSet& priors,
+                                      const FusionOptions& opts,
+                                      const FusionResult* warm) const {
   VERITAS_SPAN("fuse.accu");
   static Counter* fuse_calls =
       MetricsRegistry::Global().GetCounter("fusion.accu.fuse_calls");
@@ -94,12 +72,12 @@ FusionResult AccuFusion::Fuse(const Database& db, const PriorSet& priors,
       {1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0});
   fuse_calls->Add(1);
 
-  const CompiledDatabase c(db);
+  FusionResult result(c, opts.initial_accuracy);
   std::vector<double> accuracies =
       WarmStartAccuracies(warm, c.num_sources(), opts.initial_accuracy);
 
-  std::vector<double> probs(c.num_claims(), 0.0);
-  const std::vector<char> fixed = MarkFixedItems(c, priors, &probs);
+  const std::span<double> probs = result.mutable_probs();
+  const std::vector<char> fixed = MarkFixedItems(c, priors, probs);
 
   const std::vector<SourceId>& claim_sources = c.claim_sources();
   std::vector<double> logit(c.num_sources(), 0.0);
@@ -129,7 +107,6 @@ FusionResult AccuFusion::Fuse(const Database& db, const PriorSet& priors,
     }
   };
 
-  const std::vector<std::uint32_t>& source_claims = c.source_vote_claims();
   bool converged = false;
   std::size_t iter = 0;
   double last_residual = 0.0;
@@ -140,18 +117,8 @@ FusionResult AccuFusion::Fuse(const Database& db, const PriorSet& priors,
     if (HardStopRequested(opts.cancel)) break;
     ++iter;
     update_probabilities();
-    // Eq. (2): accuracy of a source is the mean probability of its claims.
-    double max_delta = 0.0;
-    for (SourceId j = 0; j < c.num_sources(); ++j) {
-      const std::uint32_t begin = c.source_votes_begin(j);
-      const std::uint32_t end = c.source_votes_end(j);
-      if (begin == end) continue;
-      double sum = 0.0;
-      for (std::uint32_t v = begin; v < end; ++v) sum += probs[source_claims[v]];
-      const double updated = ClampAccuracy(sum / static_cast<double>(end - begin));
-      max_delta = std::max(max_delta, std::fabs(updated - accuracies[j]));
-      accuracies[j] = updated;
-    }
+    // Eq. (2).
+    const double max_delta = UpdateMeanVoteAccuracies(c, probs, &accuracies);
     last_residual = max_delta;
     if (max_delta < opts.tolerance) {
       converged = true;
@@ -164,12 +131,6 @@ FusionResult AccuFusion::Fuse(const Database& db, const PriorSet& priors,
   // Final probability pass so P is consistent with the final A.
   update_probabilities();
 
-  FusionResult result(db, opts.initial_accuracy);
-  for (ItemId i = 0; i < c.num_items(); ++i) {
-    std::vector<double>* out = result.mutable_item_probs(i);
-    const std::uint32_t g = c.claim_offset(i);
-    for (std::size_t k = 0; k < out->size(); ++k) (*out)[k] = probs[g + k];
-  }
   *result.mutable_accuracies() = std::move(accuracies);
   result.set_iterations(iter);
   result.set_converged(converged);

@@ -18,27 +18,25 @@ namespace veritas {
 /// The AccuNoDep fusion model.
 class AccuFusion : public FusionModel {
  public:
-  using FusionModel::Fuse;
-
   std::string name() const override { return "accu"; }
-
-  FusionResult Fuse(const Database& db, const PriorSet& priors,
-                    const FusionOptions& opts) const override;
-
-  FusionResult Fuse(const Database& db, const PriorSet& priors,
-                    const FusionOptions& opts,
-                    const FusionResult* warm) const override;
 
   /// Recomputes the probabilities of a single item from given source
   /// accuracies (one application of Eq. 1). Exposed for Approx-MEU tests and
   /// diagnostics. `accuracies` are clamped internally.
   static std::vector<double> ClaimProbabilities(
-      const Database& db, ItemId item, const std::vector<double>& accuracies);
+      const CompiledDatabase& c, ItemId item,
+      const std::vector<double>& accuracies);
 
   /// Log-space claim scores for one item:
   /// score_k = sum_{s in S(v_i^k)} ln((|V_i|-1) A(s) / (1 - A(s))).
   static std::vector<double> ClaimLogScores(
-      const Database& db, ItemId item, const std::vector<double>& accuracies);
+      const CompiledDatabase& c, ItemId item,
+      const std::vector<double>& accuracies);
+
+ protected:
+  FusionResult FuseCompiled(const CompiledDatabase& c, const PriorSet& priors,
+                            const FusionOptions& opts,
+                            const FusionResult* warm) const override;
 };
 
 }  // namespace veritas

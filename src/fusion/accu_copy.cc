@@ -63,29 +63,33 @@ double DependencePosterior(const PairEvidence& ev, double a1, double a2,
                1.0 - kMinPosterior);
 }
 
-// Collects evidence for the pair (a, b) by merging their sorted vote lists.
-// "True" is whatever the current fusion believes (winner claim).
-PairEvidence CollectEvidence(const Database& db, const FusionResult& fusion,
-                             SourceId a, SourceId b) {
+// Collects evidence for the pair (a, b) by merging their vote lists (sorted
+// by item). "True" is whatever the current fusion believes (winner claim).
+PairEvidence CollectEvidence(const CompiledDatabase& c,
+                             const FusionResult& fusion, SourceId a,
+                             SourceId b) {
   PairEvidence ev;
-  const auto& va = db.source(a).votes;
-  const auto& vb = db.source(b).votes;
-  std::size_t i = 0, j = 0;
+  const std::vector<ItemId>& items = c.source_vote_items();
+  const std::vector<std::uint32_t>& claims = c.source_vote_claims();
+  std::uint32_t i = c.source_votes_begin(a);
+  std::uint32_t j = c.source_votes_begin(b);
+  const std::uint32_t end_a = c.source_votes_end(a);
+  const std::uint32_t end_b = c.source_votes_end(b);
   double false_count_sum = 0.0;
   std::size_t overlap = 0;
-  while (i < va.size() && j < vb.size()) {
-    if (va[i].item < vb[j].item) {
+  while (i < end_a && j < end_b) {
+    if (items[i] < items[j]) {
       ++i;
-    } else if (vb[j].item < va[i].item) {
+    } else if (items[j] < items[i]) {
       ++j;
     } else {
-      const ItemId item = va[i].item;
+      const ItemId item = items[i];
       ++overlap;
-      false_count_sum +=
-          static_cast<double>(std::max<std::size_t>(db.num_claims(item), 2) -
-                              1);
-      if (va[i].claim == vb[j].claim) {
-        if (va[i].claim == fusion.WinningClaim(item)) {
+      false_count_sum += static_cast<double>(
+          std::max<std::size_t>(c.item_num_claims(item), 2) - 1);
+      // Global claim ids of one item are equal iff the local ones are.
+      if (claims[i] == claims[j]) {
+        if (claims[i] - c.claim_offset(item) == fusion.WinningClaim(item)) {
           ++ev.same_true;
         } else {
           ++ev.same_false;
@@ -111,15 +115,11 @@ double AccuCopyFusion::DependenceProbability(SourceId a, SourceId b) const {
   return dependence_[static_cast<std::size_t>(a) * last_num_sources_ + b];
 }
 
-FusionResult AccuCopyFusion::Fuse(const Database& db, const PriorSet& priors,
-                                  const FusionOptions& opts) const {
-  return Fuse(db, priors, opts, nullptr);
-}
-
-FusionResult AccuCopyFusion::Fuse(const Database& db, const PriorSet& priors,
-                                  const FusionOptions& opts,
-                                  const FusionResult* warm) const {
-  const std::size_t n_sources = db.num_sources();
+FusionResult AccuCopyFusion::FuseCompiled(const CompiledDatabase& c,
+                                          const PriorSet& priors,
+                                          const FusionOptions& opts,
+                                          const FusionResult* warm) const {
+  const std::size_t n_sources = c.num_sources();
   // Per-call dependence matrix: Fuse must not touch shared members while
   // running (MEU scores candidates with concurrent lookahead Fuse calls).
   // The result is published to the diagnostics members once, at the end.
@@ -135,9 +135,12 @@ FusionResult AccuCopyFusion::Fuse(const Database& db, const PriorSet& priors,
   AccuFusion base;
   FusionOptions bootstrap = opts;
   bootstrap.max_iterations = 1;
-  FusionResult result = base.Fuse(db, priors, bootstrap, warm);
+  FusionResult result = base.Fuse(c, priors, bootstrap, warm);
 
   std::vector<double> accuracies = result.accuracies();
+  const std::span<double> probs = result.mutable_probs();
+  const std::vector<char> fixed = MarkFixedItems(c, priors, probs);
+  const std::vector<SourceId>& claim_sources = c.claim_sources();
   std::vector<double> independence_weight;  // Scratch per claim scoring.
 
   // Hard stop (see FusionOptions::cancel): the O(sources²) dependence scan
@@ -154,7 +157,7 @@ FusionResult AccuCopyFusion::Fuse(const Database& db, const PriorSet& priors,
         break;
       }
       for (SourceId b = a + 1; b < n_sources; ++b) {
-        const PairEvidence ev = CollectEvidence(db, result, a, b);
+        const PairEvidence ev = CollectEvidence(c, result, a, b);
         const std::size_t overlap = ev.same_true + ev.same_false +
                                     ev.different;
         double posterior = 0.0;
@@ -192,28 +195,20 @@ FusionResult AccuCopyFusion::Fuse(const Database& db, const PriorSet& priors,
         break;
       }
       ++iter;
-      for (ItemId i = 0; i < db.num_items(); ++i) {
-        std::vector<double>* probs = result.mutable_item_probs(i);
-        if (priors.Has(i)) {
-          *probs = priors.Get(i);
-          continue;
-        }
-        const Item& item = db.item(i);
-        if (item.claims.size() == 1) {
-          (*probs)[0] = 1.0;
-          continue;
-        }
-        const double false_values =
-            static_cast<double>(item.claims.size()) - 1.0;
-        std::vector<double> scores(item.claims.size(), 0.0);
+      for (ItemId i = 0; i < c.num_items(); ++i) {
+        if (fixed[i]) continue;
+        const std::uint32_t g = c.claim_offset(i);
+        const std::size_t n = c.item_num_claims(i);
+        const double false_values = static_cast<double>(n) - 1.0;
+        std::vector<double> scores(n, 0.0);
         std::vector<SourceId> ordered;
-        for (ClaimIndex k = 0; k < item.claims.size(); ++k) {
-          const auto& voters = item.claims[k].sources;
+        for (std::size_t k = 0; k < n; ++k) {
           // Ordered discounting (Dong et al.): count the most accurate
           // voter in full, then discount each further voter by its
           // dependence on the voters already counted — so a clique of
           // copiers contributes barely more than its best member.
-          ordered.assign(voters.begin(), voters.end());
+          ordered.assign(claim_sources.begin() + c.claim_sources_begin(g + k),
+                         claim_sources.begin() + c.claim_sources_end(g + k));
           std::sort(ordered.begin(), ordered.end(),
                     [&](SourceId x, SourceId y) {
                       if (accuracies[x] != accuracies[y]) {
@@ -240,20 +235,11 @@ FusionResult AccuCopyFusion::Fuse(const Database& db, const PriorSet& priors,
           }
           scores[k] = score;
         }
-        *probs = SoftmaxFromLogScores(scores);
+        const std::vector<double> posterior = SoftmaxFromLogScores(scores);
+        std::copy(posterior.begin(), posterior.end(), probs.begin() + g);
       }
       // Accuracy update (Eq. 2).
-      double max_delta = 0.0;
-      for (SourceId j = 0; j < n_sources; ++j) {
-        const Source& s = db.source(j);
-        if (s.votes.empty()) continue;
-        double sum = 0.0;
-        for (const Vote& v : s.votes) sum += result.prob(v.item, v.claim);
-        const double updated =
-            ClampAccuracy(sum / static_cast<double>(s.votes.size()));
-        max_delta = std::max(max_delta, std::fabs(updated - accuracies[j]));
-        accuracies[j] = updated;
-      }
+      const double max_delta = UpdateMeanVoteAccuracies(c, probs, &accuracies);
       if (max_delta < opts.tolerance) {
         converged = true;
         break;

@@ -51,19 +51,10 @@ struct AccuCopyOptions {
 /// Accu with pairwise copy detection and vote discounting.
 class AccuCopyFusion : public FusionModel {
  public:
-  using FusionModel::Fuse;
-
   explicit AccuCopyFusion(AccuCopyOptions copy_options = {})
       : copy_options_(copy_options) {}
 
   std::string name() const override { return "accu_copy"; }
-
-  FusionResult Fuse(const Database& db, const PriorSet& priors,
-                    const FusionOptions& opts) const override;
-
-  FusionResult Fuse(const Database& db, const PriorSet& priors,
-                    const FusionOptions& opts,
-                    const FusionResult* warm) const override;
 
   /// Posterior dependence probabilities of the last completed Fuse call, as
   /// a dense symmetric matrix indexed [s1 * num_sources + s2] (diagonal 0).
@@ -77,6 +68,11 @@ class AccuCopyFusion : public FusionModel {
   double DependenceProbability(SourceId a, SourceId b) const;
 
   const AccuCopyOptions& copy_options() const { return copy_options_; }
+
+ protected:
+  FusionResult FuseCompiled(const CompiledDatabase& c, const PriorSet& priors,
+                            const FusionOptions& opts,
+                            const FusionResult* warm) const override;
 
  private:
   AccuCopyOptions copy_options_;

@@ -70,20 +70,15 @@ double DeltaFusionEngine::ScoreTerm(double accuracy) const {
 DeltaFusionEngine::BaseState DeltaFusionEngine::PrepareBase(
     const FusionResult& base) const {
   const CompiledDatabase& c = *compiled_;
+  assert(base.num_items() == c.num_items() &&
+         base.probs().size() == c.num_claims());
   BaseState s;
   s.id = ++g_base_state_counter;
   s.epoch = c.epoch();
-  s.probs.resize(c.num_claims());
+  s.probs = base.probs();
   s.item_entropy.resize(c.num_items());
   for (ItemId i = 0; i < c.num_items(); ++i) {
-    const std::vector<double>& p = base.item_probs(i);
-    assert(p.size() == c.item_num_claims(i));
-    double h = 0.0;
-    const std::uint32_t g = c.claim_offset(i);
-    for (std::size_t k = 0; k < p.size(); ++k) {
-      s.probs[g + k] = p[k];
-      h += EntropyTerm(p[k]);
-    }
+    const double h = Entropy(base.item_probs(i));
     s.item_entropy[i] = h;
     s.total_entropy += h;
   }
@@ -104,7 +99,7 @@ DeltaFusionEngine::BaseState DeltaFusionEngine::PrepareBase(
 void DeltaFusionEngine::SyncWorkspace(const BaseState& base,
                                       Workspace& ws) const {
   const CompiledDatabase& c = *compiled_;
-  ws.prob_ = base.probs;
+  ws.prob_.assign(base.probs.begin(), base.probs.end());
   ws.acc_ = base.accuracies;
   ws.sum_ = base.source_sums;
   ws.term_ = base.terms;

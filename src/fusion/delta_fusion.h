@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "fusion/fusion_model.h"
@@ -123,7 +124,8 @@ class DeltaFusionEngine {
   /// Flat snapshot of a converged base <P, A>, reusable across many pins of
   /// the same base (one per MEU candidate scan). `id` is a globally unique
   /// generation stamp so workspaces can tell bases apart even when one is
-  /// rebuilt at the same address.
+  /// rebuilt at the same address. The probabilities are borrowed from the
+  /// FusionResult the state was prepared from, which must outlive it.
   struct BaseState {
     std::uint64_t id = 0;
     /// CompiledDatabase epoch this state was flattened against. Every lookup
@@ -132,7 +134,7 @@ class DeltaFusionEngine {
     /// of silently reading through a stale view (see
     /// `delta.stale_view_violations`).
     std::uint64_t epoch = 0;
-    std::vector<double> probs;        ///< By global claim id.
+    std::span<const double> probs;    ///< By global claim id (borrowed).
     std::vector<double> accuracies;   ///< Clamped.
     std::vector<double> source_sums;  ///< Sum of vote probabilities.
     std::vector<double> terms;        ///< Per-source score term (model kind).
@@ -155,7 +157,8 @@ class DeltaFusionEngine {
   /// is exact for it instead of a margin-padded heuristic.
   bool cross_item_influence() const { return kind_ != Kind::kVoting; }
 
-  /// Flattens a converged fusion result for repeated pinning.
+  /// Prepares a converged fusion result, fused over this engine's view, for
+  /// repeated pinning. The state borrows `base`'s probabilities.
   BaseState PrepareBase(const FusionResult& base) const;
 
   /// MEU fast path: the total entropy of the hypothetical state where `item`

@@ -5,11 +5,13 @@
 #define VERITAS_FUSION_FUSION_MODEL_H_
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "fusion/fusion_result.h"
 #include "fusion/priors.h"
+#include "model/compiled_database.h"
 #include "model/database.h"
 #include "util/cancellation.h"
 
@@ -48,7 +50,9 @@ struct FusionOptions {
   const CancellationToken* cancel = nullptr;
 };
 
-/// Interface of a data fusion system.
+/// Interface of a data fusion system. Every model iterates over one
+/// source–claim bipartite graph, the CSR view of a CompiledDatabase; a model
+/// implements FuseCompiled over that view and nothing else.
 class FusionModel {
  public:
   virtual ~FusionModel() = default;
@@ -56,24 +60,35 @@ class FusionModel {
   /// Short identifier ("accu", "voting", ...).
   virtual std::string name() const = 0;
 
-  /// Runs fusion on `db` with validated knowledge `priors` pinned.
-  /// Pinned items keep their prior distribution but still contribute to
-  /// source accuracy estimation.
-  virtual FusionResult Fuse(const Database& db, const PriorSet& priors,
-                            const FusionOptions& opts) const = 0;
+  /// Runs fusion over `c` with validated knowledge `priors` pinned. Pinned
+  /// items keep their prior distribution but still contribute to source
+  /// accuracy estimation. `warm` (if non-null) provides the starting source
+  /// accuracies (see WarmStartAccuracies); iterative models converge faster
+  /// from it on the lookahead re-fusions that MEU/GUB issue (§4.2.2). The
+  /// result is laid out by `c`'s global claim ids.
+  FusionResult Fuse(const CompiledDatabase& c, const PriorSet& priors,
+                    const FusionOptions& opts,
+                    const FusionResult* warm = nullptr) const {
+    return FuseCompiled(c, priors, opts, warm);
+  }
 
-  /// Warm-started variant: `warm` (if non-null) provides the starting source
-  /// accuracies. The default implementation ignores the hint; iterative
-  /// models override it to converge faster on the lookahead re-fusions that
-  /// MEU/GUB issue (§4.2.2).
-  virtual FusionResult Fuse(const Database& db, const PriorSet& priors,
-                            const FusionOptions& opts,
-                            const FusionResult* warm) const;
+  /// Compiles `db` once and fuses over that view — for callers that hold no
+  /// session view (examples, one-shot tools, benchmarks).
+  FusionResult Fuse(const Database& db, const PriorSet& priors,
+                    const FusionOptions& opts,
+                    const FusionResult* warm = nullptr) const;
 
   /// Convenience overload with no priors.
   FusionResult Fuse(const Database& db, const FusionOptions& opts) const {
     return Fuse(db, PriorSet(), opts);
   }
+
+ protected:
+  /// The model's fusion over the CSR view, as specified by Fuse.
+  virtual FusionResult FuseCompiled(const CompiledDatabase& c,
+                                    const PriorSet& priors,
+                                    const FusionOptions& opts,
+                                    const FusionResult* warm) const = 0;
 };
 
 /// The clamped starting source accuracies of a Fuse over `num_sources`
@@ -83,6 +98,21 @@ class FusionModel {
 std::vector<double> WarmStartAccuracies(const FusionResult* warm,
                                         std::size_t num_sources,
                                         double initial_accuracy);
+
+/// Writes the distributions that never change across a model's iterations
+/// into `probs` (by global claim id): a pinned item copies its prior, a
+/// single-claim item is certainly true. Returns one flag per item, set for
+/// exactly those items.
+std::vector<char> MarkFixedItems(const CompiledDatabase& c,
+                                 const PriorSet& priors,
+                                 std::span<double> probs);
+
+/// Eq. (2): the accuracy of each source becomes the clamped mean probability
+/// of the claims it votes for, summed in the source's vote order. Sources
+/// without votes keep their accuracy. Returns the L-infinity change.
+double UpdateMeanVoteAccuracies(const CompiledDatabase& c,
+                                std::span<const double> probs,
+                                std::vector<double>* accuracies);
 
 }  // namespace veritas
 

@@ -1,10 +1,19 @@
 // FusionResult: the <P, A> output of a fusion system (Definition 2) —
 // per-claim correctness probabilities plus source accuracies.
+//
+// Probabilities are stored flat by global claim id, in the layout of the
+// CompiledDatabase the result was fused over: claim k of item i lives at
+// claim_offset(i) + k. item_probs(i) is a view into that array, so a reader
+// that wants every probability (the delta engine's base state, the
+// checkpoint codec) walks one contiguous run.
 #ifndef VERITAS_FUSION_FUSION_RESULT_H_
 #define VERITAS_FUSION_FUSION_RESULT_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
+#include "model/compiled_database.h"
 #include "model/database.h"
 #include "model/types.h"
 
@@ -14,21 +23,30 @@ namespace veritas {
 class FusionResult {
  public:
   FusionResult() = default;
-  /// Allocates per-item probability vectors shaped like `db` (all zero) and
-  /// source accuracies initialized to `initial_accuracy`.
+  /// Shaped like `c` (all probabilities zero), with every source accuracy
+  /// at `initial_accuracy`.
+  FusionResult(const CompiledDatabase& c, double initial_accuracy);
+  /// Same shape, read from the nested database (no CSR build).
   FusionResult(const Database& db, double initial_accuracy);
 
   /// p_i^k: probability that claim k of item i is true.
   double prob(ItemId item, ClaimIndex claim) const {
-    return probs_[item][claim];
+    return probs_[claim_offsets_[item] + claim];
   }
-  const std::vector<double>& item_probs(ItemId item) const {
-    return probs_[item];
+  std::span<const double> item_probs(ItemId item) const {
+    return {probs_.data() + claim_offsets_[item],
+            probs_.data() + claim_offsets_[item + 1]};
   }
-  std::vector<double>* mutable_item_probs(ItemId item) {
-    return &probs_[item];
+  std::span<double> mutable_item_probs(ItemId item) {
+    return {probs_.data() + claim_offsets_[item],
+            probs_.data() + claim_offsets_[item + 1]};
   }
-  std::size_t num_items() const { return probs_.size(); }
+  /// Every probability, by global claim id.
+  std::span<const double> probs() const { return probs_; }
+  std::span<double> mutable_probs() { return probs_; }
+  std::size_t num_items() const {
+    return claim_offsets_.empty() ? 0 : claim_offsets_.size() - 1;
+  }
 
   /// A_j: accuracy of source j.
   double accuracy(SourceId source) const { return accuracies_[source]; }
@@ -60,7 +78,8 @@ class FusionResult {
   bool AllFinite() const;
 
  private:
-  std::vector<std::vector<double>> probs_;
+  std::vector<std::uint32_t> claim_offsets_;  // num_items + 1
+  std::vector<double> probs_;                 // By global claim id.
   std::vector<double> accuracies_;
   std::size_t iterations_ = 0;
   bool converged_ = false;

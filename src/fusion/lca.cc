@@ -1,22 +1,23 @@
 #include "fusion/lca.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/math.h"
 
 namespace veritas {
 
-FusionResult SimpleLcaFusion::Fuse(const Database& db, const PriorSet& priors,
-                                   const FusionOptions& opts) const {
-  return Fuse(db, priors, opts, nullptr);
-}
-
-FusionResult SimpleLcaFusion::Fuse(const Database& db, const PriorSet& priors,
-                                   const FusionOptions& opts,
-                                   const FusionResult* warm) const {
-  FusionResult result(db, opts.initial_accuracy);
+FusionResult SimpleLcaFusion::FuseCompiled(const CompiledDatabase& c,
+                                           const PriorSet& priors,
+                                           const FusionOptions& opts,
+                                           const FusionResult* warm) const {
+  FusionResult result(c, opts.initial_accuracy);
   std::vector<double> honesty =
-      WarmStartAccuracies(warm, db.num_sources(), opts.initial_accuracy);
+      WarmStartAccuracies(warm, c.num_sources(), opts.initial_accuracy);
+  const std::span<double> probs = result.mutable_probs();
+  const std::vector<char> fixed = MarkFixedItems(c, priors, probs);
+  const std::vector<SourceId>& claim_sources = c.claim_sources();
+  const std::vector<std::uint32_t>& source_claims = c.source_vote_claims();
 
   bool converged = false;
   std::size_t iter = 0;
@@ -27,42 +28,37 @@ FusionResult SimpleLcaFusion::Fuse(const Database& db, const PriorSet& priors,
     if (HardStopRequested(opts.cancel)) break;
     ++iter;
     // E-step: claim posteriors from source honesty.
-    for (ItemId i = 0; i < db.num_items(); ++i) {
-      std::vector<double>* probs = result.mutable_item_probs(i);
-      if (priors.Has(i)) {
-        *probs = priors.Get(i);
-        continue;
-      }
-      const Item& item = db.item(i);
-      if (item.claims.size() == 1) {
-        (*probs)[0] = 1.0;
-        continue;
-      }
-      const double false_values =
-          static_cast<double>(item.claims.size()) - 1.0;
-      scores.assign(item.claims.size(), 0.0);
-      for (ClaimIndex k = 0; k < item.claims.size(); ++k) {
+    for (ItemId i = 0; i < c.num_items(); ++i) {
+      if (fixed[i]) continue;
+      const std::uint32_t g = c.claim_offset(i);
+      const std::size_t n = c.item_num_claims(i);
+      const double false_values = static_cast<double>(n) - 1.0;
+      scores.assign(n, 0.0);
+      for (std::size_t k = 0; k < n; ++k) {
         double score = 0.0;
-        for (SourceId s : item.claims[k].sources) {
-          const double h = ClampAccuracy(honesty[s]);
-          // A vote for v (vs. the source's counterfactual dishonest vote
-          // spread over the other claims).
+        for (std::uint32_t v = c.claim_sources_begin(g + k);
+             v < c.claim_sources_end(g + k); ++v) {
+          const double h = ClampAccuracy(honesty[claim_sources[v]]);
+          // A vote for claim k (vs. the source's counterfactual dishonest
+          // vote spread over the other claims).
           score += std::log(h) - std::log((1.0 - h) / false_values);
         }
         scores[k] = score;
       }
-      *probs = SoftmaxFromLogScores(scores);
+      const std::vector<double> posterior = SoftmaxFromLogScores(scores);
+      std::copy(posterior.begin(), posterior.end(), probs.begin() + g);
     }
     // M-step: smoothed honesty.
     double max_delta = 0.0;
-    for (SourceId j = 0; j < db.num_sources(); ++j) {
-      const Source& s = db.source(j);
-      if (s.votes.empty()) continue;
+    for (SourceId j = 0; j < c.num_sources(); ++j) {
+      const std::uint32_t begin = c.source_votes_begin(j);
+      const std::uint32_t end = c.source_votes_end(j);
+      if (begin == end) continue;
       double sum = 0.0;
-      for (const Vote& v : s.votes) sum += result.prob(v.item, v.claim);
+      for (std::uint32_t v = begin; v < end; ++v) sum += probs[source_claims[v]];
       const double updated = ClampAccuracy(
           (sum + smoothing_ * opts.initial_accuracy) /
-          (static_cast<double>(s.votes.size()) + smoothing_));
+          (static_cast<double>(end - begin) + smoothing_));
       max_delta = std::max(max_delta, std::fabs(updated - honesty[j]));
       honesty[j] = updated;
     }

@@ -21,22 +21,18 @@ namespace veritas {
 /// SimpleLCA-style fusion.
 class SimpleLcaFusion : public FusionModel {
  public:
-  using FusionModel::Fuse;
-
   /// `smoothing` is the pseudo-count pulling honesty toward the initial
   /// accuracy (stabilizes sources with few claims).
   explicit SimpleLcaFusion(double smoothing = 1.0) : smoothing_(smoothing) {}
 
   std::string name() const override { return "lca"; }
 
-  FusionResult Fuse(const Database& db, const PriorSet& priors,
-                    const FusionOptions& opts) const override;
-
-  FusionResult Fuse(const Database& db, const PriorSet& priors,
-                    const FusionOptions& opts,
-                    const FusionResult* warm) const override;
-
   double smoothing() const { return smoothing_; }
+
+ protected:
+  FusionResult FuseCompiled(const CompiledDatabase& c, const PriorSet& priors,
+                            const FusionOptions& opts,
+                            const FusionResult* warm) const override;
 
  private:
   double smoothing_;

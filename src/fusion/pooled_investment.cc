@@ -1,24 +1,21 @@
 #include "fusion/pooled_investment.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/math.h"
 
 namespace veritas {
 
-FusionResult PooledInvestmentFusion::Fuse(const Database& db,
-                                          const PriorSet& priors,
-                                          const FusionOptions& opts) const {
-  return Fuse(db, priors, opts, nullptr);
-}
-
-FusionResult PooledInvestmentFusion::Fuse(const Database& db,
-                                          const PriorSet& priors,
-                                          const FusionOptions& opts,
-                                          const FusionResult* warm) const {
-  FusionResult result(db, opts.initial_accuracy);
+FusionResult PooledInvestmentFusion::FuseCompiled(
+    const CompiledDatabase& c, const PriorSet& priors,
+    const FusionOptions& opts, const FusionResult* warm) const {
+  FusionResult result(c, opts.initial_accuracy);
   std::vector<double> trust =
-      WarmStartAccuracies(warm, db.num_sources(), opts.initial_accuracy);
+      WarmStartAccuracies(warm, c.num_sources(), opts.initial_accuracy);
+  const std::span<double> probs = result.mutable_probs();
+  const std::vector<char> fixed = MarkFixedItems(c, priors, probs);
+  const std::vector<SourceId>& claim_sources = c.claim_sources();
 
   bool converged = false;
   std::size_t iter = 0;
@@ -29,39 +26,25 @@ FusionResult PooledInvestmentFusion::Fuse(const Database& db,
     ++iter;
     // Claim pooled returns H(v) = sum_s trust(s)/N(s), grown by G, then
     // normalized per item into a distribution.
-    for (ItemId i = 0; i < db.num_items(); ++i) {
-      std::vector<double>* probs = result.mutable_item_probs(i);
-      if (priors.Has(i)) {
-        *probs = priors.Get(i);
-        continue;
-      }
-      const Item& o = db.item(i);
-      if (o.claims.size() == 1) {
-        (*probs)[0] = 1.0;
-        continue;
-      }
-      returns.assign(o.claims.size(), 0.0);
-      for (ClaimIndex k = 0; k < o.claims.size(); ++k) {
+    for (ItemId i = 0; i < c.num_items(); ++i) {
+      if (fixed[i]) continue;
+      const std::uint32_t g = c.claim_offset(i);
+      const std::size_t n = c.item_num_claims(i);
+      returns.assign(n, 0.0);
+      for (std::size_t k = 0; k < n; ++k) {
         double h = 0.0;
-        for (SourceId s : o.claims[k].sources) {
-          h += trust[s] / static_cast<double>(db.source_degree(s));
+        for (std::uint32_t v = c.claim_sources_begin(g + k);
+             v < c.claim_sources_end(g + k); ++v) {
+          const SourceId s = claim_sources[v];
+          h += trust[s] / static_cast<double>(c.source_degree(s));
         }
         returns[k] = std::pow(h, g_);
       }
-      *probs = Normalize(returns);
+      const std::vector<double> shares = Normalize(returns);
+      std::copy(shares.begin(), shares.end(), probs.begin() + g);
     }
     // Trust update: mean probability of the source's claims.
-    double max_delta = 0.0;
-    for (SourceId j = 0; j < db.num_sources(); ++j) {
-      const Source& s = db.source(j);
-      if (s.votes.empty()) continue;
-      double sum = 0.0;
-      for (const Vote& v : s.votes) sum += result.prob(v.item, v.claim);
-      const double updated =
-          ClampAccuracy(sum / static_cast<double>(s.votes.size()));
-      max_delta = std::max(max_delta, std::fabs(updated - trust[j]));
-      trust[j] = updated;
-    }
+    const double max_delta = UpdateMeanVoteAccuracies(c, probs, &trust);
     if (max_delta < opts.tolerance) {
       converged = true;
       break;

@@ -15,21 +15,17 @@ namespace veritas {
 /// PooledInvestment-style fusion.
 class PooledInvestmentFusion : public FusionModel {
  public:
-  using FusionModel::Fuse;
-
   /// `g` is the investment growth exponent (1.4 in the original paper).
   explicit PooledInvestmentFusion(double g = 1.4) : g_(g) {}
 
   std::string name() const override { return "pooled_investment"; }
 
-  FusionResult Fuse(const Database& db, const PriorSet& priors,
-                    const FusionOptions& opts) const override;
-
-  FusionResult Fuse(const Database& db, const PriorSet& priors,
-                    const FusionOptions& opts,
-                    const FusionResult* warm) const override;
-
   double growth() const { return g_; }
+
+ protected:
+  FusionResult FuseCompiled(const CompiledDatabase& c, const PriorSet& priors,
+                            const FusionOptions& opts,
+                            const FusionResult* warm) const override;
 
  private:
   double g_;

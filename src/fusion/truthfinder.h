@@ -22,21 +22,17 @@ namespace veritas {
 /// TruthFinder-style fusion adapted to emit per-item distributions.
 class TruthFinderFusion : public FusionModel {
  public:
-  using FusionModel::Fuse;
-
   /// `gamma` is TruthFinder's dampening factor (0.3 in the original paper).
   explicit TruthFinderFusion(double gamma = 0.3) : gamma_(gamma) {}
 
   std::string name() const override { return "truthfinder"; }
 
-  FusionResult Fuse(const Database& db, const PriorSet& priors,
-                    const FusionOptions& opts) const override;
-
-  FusionResult Fuse(const Database& db, const PriorSet& priors,
-                    const FusionOptions& opts,
-                    const FusionResult* warm) const override;
-
   double gamma() const { return gamma_; }
+
+ protected:
+  FusionResult FuseCompiled(const CompiledDatabase& c, const PriorSet& priors,
+                            const FusionOptions& opts,
+                            const FusionResult* warm) const override;
 
  private:
   double gamma_;

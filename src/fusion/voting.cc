@@ -1,29 +1,35 @@
 #include "fusion/voting.h"
 
+#include <algorithm>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/math.h"
 
 namespace veritas {
 
-std::vector<double> VotingFusion::VoteShares(const Database& db, ItemId item) {
-  const Item& o = db.item(item);
-  std::vector<double> counts(o.claims.size(), 0.0);
-  for (ClaimIndex k = 0; k < o.claims.size(); ++k) {
-    counts[k] = static_cast<double>(o.claims[k].sources.size());
+std::vector<double> VotingFusion::VoteShares(const CompiledDatabase& c,
+                                             ItemId item) {
+  const std::uint32_t g = c.claim_offset(item);
+  std::vector<double> counts(c.item_num_claims(item), 0.0);
+  for (ClaimIndex k = 0; k < counts.size(); ++k) {
+    counts[k] = static_cast<double>(c.claim_sources_end(g + k) -
+                                    c.claim_sources_begin(g + k));
   }
   return Normalize(counts);
 }
 
-FusionResult VotingFusion::Fuse(const Database& db, const PriorSet& priors,
-                                const FusionOptions& opts) const {
+FusionResult VotingFusion::FuseCompiled(const CompiledDatabase& c,
+                                        const PriorSet& priors,
+                                        const FusionOptions& opts,
+                                        const FusionResult* /*warm*/) const {
   VERITAS_SPAN("fuse.voting");
   static Counter* fuse_calls =
       MetricsRegistry::Global().GetCounter("fusion.voting.fuse_calls");
   fuse_calls->Add(1);
-  FusionResult result(db, opts.initial_accuracy);
+  FusionResult result(c, opts.initial_accuracy);
   bool cancelled = false;
-  for (ItemId i = 0; i < db.num_items(); ++i) {
+  for (ItemId i = 0; i < c.num_items(); ++i) {
     // Single-pass model, so the hard-stop poll sits in the item loop
     // (every 256 items — one relaxed load, invisible next to the
     // per-item allocations).
@@ -31,24 +37,13 @@ FusionResult VotingFusion::Fuse(const Database& db, const PriorSet& priors,
       cancelled = true;
       break;
     }
-    std::vector<double>* probs = result.mutable_item_probs(i);
-    if (priors.Has(i)) {
-      *probs = priors.Get(i);
-    } else {
-      *probs = VoteShares(db, i);
-    }
+    const std::vector<double> probs =
+        priors.Has(i) ? priors.Get(i) : VoteShares(c, i);
+    std::copy(probs.begin(), probs.end(), result.mutable_item_probs(i).begin());
   }
-  std::vector<double>* accuracies = result.mutable_accuracies();
-  for (SourceId j = 0; j < db.num_sources(); ++j) {
-    const Source& s = db.source(j);
-    if (s.votes.empty()) continue;
-    double sum = 0.0;
-    for (const Vote& v : s.votes) sum += result.prob(v.item, v.claim);
-    // Clamped like the iterative models so downstream odds ratios stay
-    // finite when a strategy consumes these accuracies.
-    (*accuracies)[j] =
-        ClampAccuracy(sum / static_cast<double>(s.votes.size()));
-  }
+  // Clamped like the iterative models so downstream odds ratios stay
+  // finite when a strategy consumes these accuracies.
+  UpdateMeanVoteAccuracies(c, result.probs(), result.mutable_accuracies());
   result.set_iterations(1);
   result.set_converged(!cancelled);
   return result;

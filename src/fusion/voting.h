@@ -12,15 +12,16 @@ namespace veritas {
 /// as the mean vote-share of the claims it supports.
 class VotingFusion : public FusionModel {
  public:
-  using FusionModel::Fuse;
-
   std::string name() const override { return "voting"; }
 
-  FusionResult Fuse(const Database& db, const PriorSet& priors,
-                    const FusionOptions& opts) const override;
-
   /// Vote-share distribution of one item (Eq. 5). Exposed for QBC.
-  static std::vector<double> VoteShares(const Database& db, ItemId item);
+  static std::vector<double> VoteShares(const CompiledDatabase& c,
+                                        ItemId item);
+
+ protected:
+  FusionResult FuseCompiled(const CompiledDatabase& c, const PriorSet& priors,
+                            const FusionOptions& opts,
+                            const FusionResult* warm) const override;
 };
 
 }  // namespace veritas

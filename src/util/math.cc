@@ -22,7 +22,7 @@ double EntropyTerm(double p) {
   return -p * std::log(p);
 }
 
-double Entropy(const std::vector<double>& probs) {
+double Entropy(std::span<const double> probs) {
   double h = 0.0;
   for (double p : probs) h += EntropyTerm(p);
   return h;
@@ -81,7 +81,7 @@ Status CheckFinite(const std::vector<double>& values, const char* what) {
   return Status::OK();
 }
 
-std::size_t ArgMax(const std::vector<double>& xs) {
+std::size_t ArgMax(std::span<const double> xs) {
   if (xs.empty()) return 0;
   return static_cast<std::size_t>(
       std::max_element(xs.begin(), xs.end()) - xs.begin());

@@ -7,6 +7,7 @@
 #define VERITAS_UTIL_MATH_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "util/status.h"
@@ -37,7 +38,7 @@ double EntropyTerm(double p);
 
 /// Shannon entropy (nats) of a distribution. Does not require the input to be
 /// normalized exactly; each term is computed independently.
-double Entropy(const std::vector<double>& probs);
+double Entropy(std::span<const double> probs);
 
 /// Maximum possible entropy of a distribution over n outcomes: ln(n).
 double MaxEntropy(std::size_t n);
@@ -61,7 +62,7 @@ std::vector<double> Normalize(const std::vector<double>& weights);
 Status CheckFinite(const std::vector<double>& values, const char* what);
 
 /// Index of the maximum element; first occurrence wins. Empty input yields 0.
-std::size_t ArgMax(const std::vector<double>& xs);
+std::size_t ArgMax(std::span<const double> xs);
 
 /// True when |a - b| <= tol.
 bool NearlyEqual(double a, double b, double tol);

@@ -5,6 +5,7 @@
 // in-flight round and resumes from the previous checkpoint instead.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -46,7 +47,8 @@ void ExpectTracesIdentical(const SessionTrace& a, const SessionTrace& b) {
   }
   EXPECT_EQ(a.final_fusion.accuracies(), b.final_fusion.accuracies());
   for (ItemId i = 0; i < a.final_fusion.num_items(); ++i) {
-    EXPECT_EQ(a.final_fusion.item_probs(i), b.final_fusion.item_probs(i))
+    EXPECT_TRUE(std::ranges::equal(a.final_fusion.item_probs(i),
+                                   b.final_fusion.item_probs(i)))
         << "item " << i;
   }
 }

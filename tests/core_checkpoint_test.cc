@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -47,7 +48,8 @@ void ExpectTracesIdentical(const SessionTrace& a, const SessionTrace& b) {
   }
   ASSERT_EQ(a.final_fusion.num_items(), b.final_fusion.num_items());
   for (ItemId i = 0; i < a.final_fusion.num_items(); ++i) {
-    EXPECT_EQ(a.final_fusion.item_probs(i), b.final_fusion.item_probs(i))
+    EXPECT_TRUE(std::ranges::equal(a.final_fusion.item_probs(i),
+                                   b.final_fusion.item_probs(i)))
         << "item " << i;
   }
   EXPECT_EQ(a.final_fusion.accuracies(), b.final_fusion.accuracies());
@@ -81,7 +83,7 @@ TEST_F(CheckpointTest, SaveLoadRoundTripsEveryField) {
   cp.fusion = FusionResult(db_, 0.8);
   cp.fusion.set_iterations(9);
   cp.fusion.set_converged(true);
-  (*cp.fusion.mutable_item_probs(1))[0] = 0.625;
+  cp.fusion.mutable_item_probs(1)[0] = 0.625;
   cp.rng_state = "12345 67890";
   cp.oracle_state = "0 |";
 
@@ -105,7 +107,8 @@ TEST_F(CheckpointTest, SaveLoadRoundTripsEveryField) {
   ASSERT_TRUE(loaded->priors.Has(0));
   EXPECT_EQ(loaded->priors.Get(0), cp.priors.Get(0));
   ASSERT_EQ(loaded->fusion.num_items(), cp.fusion.num_items());
-  EXPECT_EQ(loaded->fusion.item_probs(1), cp.fusion.item_probs(1));
+  EXPECT_TRUE(std::ranges::equal(loaded->fusion.item_probs(1),
+                                 cp.fusion.item_probs(1)));
   EXPECT_EQ(loaded->fusion.accuracies(), cp.fusion.accuracies());
   EXPECT_EQ(loaded->fusion.iterations(), 9u);
   EXPECT_TRUE(loaded->fusion.converged());

@@ -61,8 +61,8 @@ TEST_F(HybridTest, FullPercentKeepsEverything) {
 TEST_F(HybridTest, FilterIsOrderedByVoteEntropyThenOutputEntropy) {
   const auto filtered = ApproxMeuKStrategy::FilterCandidates(ctx_, 100.0);
   for (std::size_t i = 1; i < filtered.size(); ++i) {
-    const double prev = VoteEntropy(data_.db, filtered[i - 1]);
-    const double cur = VoteEntropy(data_.db, filtered[i]);
+    const double prev = VoteEntropy(*compiled_, filtered[i - 1]);
+    const double cur = VoteEntropy(*compiled_, filtered[i]);
     EXPECT_GE(prev, cur - 1e-12);
     if (prev == cur) {
       EXPECT_GE(fusion_.ItemEntropy(filtered[i - 1]),

@@ -97,9 +97,9 @@ TEST(TopKByScoreTest, EmptyInput) {
 
 TEST_F(StrategyHelpersTest, VoteEntropyMatchesExample41) {
   // H_1 = 0.637 (1/3 vs 2/3), H_2 = 0.693 (1/2 vs 1/2).
-  EXPECT_NEAR(VoteEntropy(db_, *db_.FindItem("Zootopia")), 0.637, 5e-4);
-  EXPECT_NEAR(VoteEntropy(db_, *db_.FindItem("Kung Fu Panda")), 0.693, 5e-4);
-  EXPECT_DOUBLE_EQ(VoteEntropy(db_, *db_.FindItem("Finding Dory")), 0.0);
+  EXPECT_NEAR(VoteEntropy(compiled_, *db_.FindItem("Zootopia")), 0.637, 5e-4);
+  EXPECT_NEAR(VoteEntropy(compiled_, *db_.FindItem("Kung Fu Panda")), 0.693, 5e-4);
+  EXPECT_DOUBLE_EQ(VoteEntropy(compiled_, *db_.FindItem("Finding Dory")), 0.0);
 }
 
 TEST_F(StrategyHelpersTest, SelectNextReturnsFirstOfBatch) {

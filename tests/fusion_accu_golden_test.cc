@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "fusion/accu.h"
+#include "model/compiled_database.h"
 #include "model/database_builder.h"
 
 namespace veritas {
@@ -25,11 +26,12 @@ TEST(AccuGoldenTest, TwoClaimSingleApplication) {
   //   score(a) = 9 * 1.5 = 13.5, score(b) = 4
   //   p(a) = 13.5 / 17.5.
   const Database db = TwoClaimItem();
+  const CompiledDatabase compiled(db);
   std::vector<double> accuracies(3);
   accuracies[*db.FindSource("s1")] = 0.9;
   accuracies[*db.FindSource("s2")] = 0.6;
   accuracies[*db.FindSource("s3")] = 0.8;
-  const auto probs = AccuFusion::ClaimProbabilities(db, 0, accuracies);
+  const auto probs = AccuFusion::ClaimProbabilities(compiled, 0, accuracies);
   const ClaimIndex a = *db.FindClaim(0, "a");
   const ClaimIndex b = *db.FindClaim(0, "b");
   EXPECT_NEAR(probs[a], 13.5 / 17.5, 1e-12);
@@ -41,10 +43,11 @@ TEST(AccuGoldenTest, SingleVoteEachSideReducesToOddsRatio) {
   ASSERT_TRUE(builder.AddObservation("p", "x", "a").ok());
   ASSERT_TRUE(builder.AddObservation("q", "x", "b").ok());
   const Database db = builder.Build();
+  const CompiledDatabase compiled(db);
   std::vector<double> accuracies(2);
   accuracies[*db.FindSource("p")] = 0.75;  // Odds 3.
   accuracies[*db.FindSource("q")] = 0.5;   // Odds 1.
-  const auto probs = AccuFusion::ClaimProbabilities(db, 0, accuracies);
+  const auto probs = AccuFusion::ClaimProbabilities(compiled, 0, accuracies);
   EXPECT_NEAR(probs[*db.FindClaim(0, "a")], 3.0 / 4.0, 1e-12);
 }
 
@@ -58,8 +61,9 @@ TEST(AccuGoldenTest, ThreeClaimFalseValueFactor) {
   ASSERT_TRUE(builder.AddObservation("s3", "x", "b").ok());
   ASSERT_TRUE(builder.AddObservation("s4", "x", "c").ok());
   const Database db = builder.Build();
+  const CompiledDatabase compiled(db);
   const std::vector<double> accuracies(4, 0.8);
-  const auto probs = AccuFusion::ClaimProbabilities(db, 0, accuracies);
+  const auto probs = AccuFusion::ClaimProbabilities(compiled, 0, accuracies);
   EXPECT_NEAR(probs[*db.FindClaim(0, "a")], 0.8, 1e-12);
   EXPECT_NEAR(probs[*db.FindClaim(0, "b")], 0.1, 1e-12);
   EXPECT_NEAR(probs[*db.FindClaim(0, "c")], 0.1, 1e-12);
@@ -67,8 +71,9 @@ TEST(AccuGoldenTest, ThreeClaimFalseValueFactor) {
 
 TEST(AccuGoldenTest, LogScoresMatchHandComputation) {
   const Database db = TwoClaimItem();
+  const CompiledDatabase compiled(db);
   std::vector<double> accuracies(3, 0.8);
-  const auto scores = AccuFusion::ClaimLogScores(db, 0, accuracies);
+  const auto scores = AccuFusion::ClaimLogScores(compiled, 0, accuracies);
   // Each vote contributes ln(1 * 0.8 / 0.2) = ln 4.
   EXPECT_NEAR(scores[*db.FindClaim(0, "a")], 2.0 * std::log(4.0), 1e-12);
   EXPECT_NEAR(scores[*db.FindClaim(0, "b")], std::log(4.0), 1e-12);
@@ -101,9 +106,10 @@ TEST(AccuGoldenTest, ExtremeAccuracySourceDominates) {
   ASSERT_TRUE(builder.AddObservation("n2", "x", "b").ok());
   ASSERT_TRUE(builder.AddObservation("n3", "x", "b").ok());
   const Database db = builder.Build();
+  const CompiledDatabase compiled(db);
   std::vector<double> accuracies(4, 0.6);  // Odds 1.5 each.
   accuracies[*db.FindSource("expert")] = 0.99;  // Odds 99.
-  const auto probs = AccuFusion::ClaimProbabilities(db, 0, accuracies);
+  const auto probs = AccuFusion::ClaimProbabilities(compiled, 0, accuracies);
   // score(a) = 99 vs score(b) = 1.5^3 = 3.375 -> expert wins big.
   EXPECT_NEAR(probs[*db.FindClaim(0, "a")], 99.0 / (99.0 + 3.375), 1e-9);
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "data/example_data.h"
+#include "model/compiled_database.h"
 #include "model/database_builder.h"
 #include "util/math.h"
 
@@ -178,11 +179,12 @@ TEST(AccuFusionTest, WarmStartReachesSameFixedPoint) {
 
 TEST(AccuFusionTest, ClaimLogScoresMatchSoftmax) {
   const Database db = MakeMovieDatabase();
+  const CompiledDatabase compiled(db);
   AccuFusion model;
   const FusionResult r = model.Fuse(db, FusionOptions{});
   for (ItemId i = 0; i < db.num_items(); ++i) {
     if (db.num_claims(i) < 2) continue;
-    const auto scores = AccuFusion::ClaimLogScores(db, i, r.accuracies());
+    const auto scores = AccuFusion::ClaimLogScores(compiled, i, r.accuracies());
     const auto probs = SoftmaxFromLogScores(scores);
     for (ClaimIndex k = 0; k < db.num_claims(i); ++k) {
       EXPECT_NEAR(probs[k], r.prob(i, k), 1e-9);

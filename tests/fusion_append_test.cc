@@ -209,15 +209,22 @@ TEST(StaleViewTest, LookaheadOnStaleBaseDegradesAndCounts) {
   batch.observations.push_back({"fresh_source", "item0000", "streamed", 0.0});
   ASSERT_TRUE(stream.AppendBatch(batch).ok());
 
+#ifndef NDEBUG
+  // Builds with asserts on fail loudly: the stale lookahead aborts.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(engine->EntropyAfterExactPin(base, ws, priors, conflicted, 0),
+               "stale base state");
+#else
   Counter* violations = MetricsRegistry::Global().GetCounter(
       "delta.stale_view_violations");
   const std::uint64_t before = violations->value();
-  // Release builds (all presets define NDEBUG) degrade instead of asserting:
-  // the lookahead returns the base entropy unchanged and counts the hazard.
+  // Release builds degrade instead of asserting: the lookahead returns the
+  // base entropy unchanged and counts the hazard.
   const double stale =
       engine->EntropyAfterExactPin(base, ws, priors, conflicted, 0);
   EXPECT_EQ(stale, base.total_entropy);
   EXPECT_EQ(violations->value(), before + 1);
+#endif
 }
 
 TEST(StaleViewTest, ParallelLookaheadsBetweenAppendsAreRaceFree) {

@@ -4,6 +4,7 @@
 // not guaranteed but is always reported honestly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "data/synthetic.h"
 #include "fusion/accu.h"
 #include "fusion/fusion_factory.h"
+#include "model/compiled_database.h"
 #include "model/database_builder.h"
 #include "model/streaming_database.h"
 
@@ -91,12 +93,13 @@ TEST(ConvergenceTest, FinalProbabilitiesConsistentWithFinalAccuracies) {
   // The contract: the returned P is one application of Eq. (1) under the
   // returned A, even when the run hit the iteration cap mid-flight.
   const Database db = MakeMovieDatabase();
+  const CompiledDatabase compiled(db);
   AccuFusion model;
   FusionOptions opts;
   opts.max_iterations = 3;  // Deliberately unconverged.
   const FusionResult r = model.Fuse(db, opts);
   for (ItemId i = 0; i < db.num_items(); ++i) {
-    const auto probs = AccuFusion::ClaimProbabilities(db, i, r.accuracies());
+    const auto probs = AccuFusion::ClaimProbabilities(compiled, i, r.accuracies());
     for (ClaimIndex k = 0; k < db.num_claims(i); ++k) {
       EXPECT_NEAR(r.prob(i, k), probs[k], 1e-12);
     }
@@ -186,7 +189,8 @@ TEST_P(WarmStartAfterAppendTest, ShorterWarmResultMatchesExtendedOne) {
   EXPECT_EQ(from_short.iterations(), from_extended.iterations());
   EXPECT_EQ(from_short.accuracies(), from_extended.accuracies());
   for (ItemId i = 0; i < db.num_items(); ++i) {
-    EXPECT_EQ(from_short.item_probs(i), from_extended.item_probs(i))
+    EXPECT_TRUE(std::ranges::equal(from_short.item_probs(i),
+                                   from_extended.item_probs(i)))
         << "item " << i;
   }
 }

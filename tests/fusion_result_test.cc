@@ -1,7 +1,10 @@
 // Unit tests of the FusionResult container (<P, A> of Definition 2).
 #include "fusion/fusion_result.h"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +13,13 @@
 
 namespace veritas {
 namespace {
+
+// Overwrites item i's distribution in place (same claim count).
+void SetItemProbs(FusionResult* r, ItemId i, const std::vector<double>& p) {
+  const std::span<double> out = r->mutable_item_probs(i);
+  ASSERT_EQ(out.size(), p.size());
+  std::copy(p.begin(), p.end(), out.begin());
+}
 
 TEST(FusionResultTest, ConstructorShapesFromDatabase) {
   const Database db = MakeMovieDatabase();
@@ -25,6 +35,21 @@ TEST(FusionResultTest, ConstructorShapesFromDatabase) {
   for (double a : r.accuracies()) EXPECT_DOUBLE_EQ(a, 0.8);
 }
 
+TEST(FusionResultTest, ProbabilitiesAreFlatByGlobalClaimId) {
+  const Database db = MakeMovieDatabase();
+  const CompiledDatabase c(db);
+  FusionResult r(c, 0.8);
+  ASSERT_EQ(r.num_items(), c.num_items());
+  ASSERT_EQ(r.probs().size(), c.num_claims());
+  for (ItemId i = 0; i < c.num_items(); ++i) {
+    EXPECT_EQ(r.item_probs(i).data(), r.probs().data() + c.claim_offset(i));
+    EXPECT_EQ(r.item_probs(i).size(), c.item_num_claims(i));
+  }
+  const ItemId minions = *db.FindItem("Minions");
+  r.mutable_probs()[c.claim_offset(minions) + 1] = 0.25;
+  EXPECT_DOUBLE_EQ(r.prob(minions, 1), 0.25);
+}
+
 TEST(FusionResultTest, DefaultConstructedIsEmpty) {
   FusionResult r;
   EXPECT_EQ(r.num_items(), 0u);
@@ -37,9 +62,9 @@ TEST(FusionResultTest, WinningClaimFirstMaxWins) {
   const Database db = MakeMovieDatabase();
   FusionResult r(db, 0.8);
   const ItemId zootopia = *db.FindItem("Zootopia");
-  *r.mutable_item_probs(zootopia) = {0.5, 0.5};  // Tie: first wins.
+  SetItemProbs(&r, zootopia, {0.5, 0.5});  // Tie: first wins.
   EXPECT_EQ(r.WinningClaim(zootopia), 0u);
-  *r.mutable_item_probs(zootopia) = {0.3, 0.7};
+  SetItemProbs(&r, zootopia, {0.3, 0.7});
   EXPECT_EQ(r.WinningClaim(zootopia), 1u);
 }
 
@@ -47,8 +72,9 @@ TEST(FusionResultTest, ItemEntropyMatchesFormula) {
   const Database db = MakeMovieDatabase();
   FusionResult r(db, 0.8);
   const ItemId minions = *db.FindItem("Minions");
-  *r.mutable_item_probs(minions) = {0.921, 0.079};
-  EXPECT_NEAR(r.ItemEntropy(minions), Entropy({0.921, 0.079}), 1e-12);
+  SetItemProbs(&r, minions, {0.921, 0.079});
+  EXPECT_NEAR(r.ItemEntropy(minions),
+              Entropy(std::vector<double>{0.921, 0.079}), 1e-12);
   EXPECT_NEAR(r.ItemEntropy(minions), 0.276, 5e-4);  // Example 4.2.
 }
 
@@ -59,7 +85,7 @@ TEST(FusionResultTest, TotalEntropySumsItems) {
   for (ItemId i = 0; i < db.num_items(); ++i) {
     std::vector<double> probs(db.num_claims(i),
                               1.0 / static_cast<double>(db.num_claims(i)));
-    *r.mutable_item_probs(i) = probs;
+    SetItemProbs(&r, i, probs);
     expected += Entropy(probs);
   }
   EXPECT_NEAR(r.TotalEntropy(), expected, 1e-12);
@@ -83,9 +109,9 @@ TEST(FusionResultTest, MutableAccuracies) {
 TEST(FusionResultTest, CopySemantics) {
   const Database db = MakeMovieDatabase();
   FusionResult a(db, 0.8);
-  *a.mutable_item_probs(0) = {0.25, 0.75};
+  SetItemProbs(&a, 0, {0.25, 0.75});
   FusionResult b = a;
-  *b.mutable_item_probs(0) = {1.0, 0.0};
+  SetItemProbs(&b, 0, {1.0, 0.0});
   EXPECT_DOUBLE_EQ(a.prob(0, 1), 0.75);  // Deep copy.
   EXPECT_DOUBLE_EQ(b.prob(0, 1), 0.0);
 }

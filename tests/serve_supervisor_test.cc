@@ -7,6 +7,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -217,7 +218,8 @@ TEST_F(SupervisorTest, EvictedSessionRecoversBitExactly) {
   }
   EXPECT_EQ(a.final_fusion.accuracies(), b.final_fusion.accuracies());
   for (ItemId i = 0; i < a.final_fusion.num_items(); ++i) {
-    EXPECT_EQ(a.final_fusion.item_probs(i), b.final_fusion.item_probs(i))
+    EXPECT_TRUE(std::ranges::equal(a.final_fusion.item_probs(i),
+                                   b.final_fusion.item_probs(i)))
         << "item " << i;
   }
   // Completion cleaned the durable state.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -37,22 +38,23 @@ TEST(EntropyTest, TermConventions) {
 }
 
 TEST(EntropyTest, UniformBinaryIsLn2) {
-  EXPECT_NEAR(Entropy({0.5, 0.5}), std::log(2.0), 1e-12);
+  EXPECT_NEAR(Entropy(std::vector<double>{0.5, 0.5}), std::log(2.0), 1e-12);
 }
 
 TEST(EntropyTest, PaperExample42) {
   // H_5 = -(0.079) ln(0.079) - (0.921) ln(0.921) = 0.276 (natural log).
-  EXPECT_NEAR(Entropy({0.921, 0.079}), 0.276, 5e-4);
+  EXPECT_NEAR(Entropy(std::vector<double>{0.921, 0.079}), 0.276, 5e-4);
 }
 
 TEST(EntropyTest, PaperExample41VoteEntropies) {
   // H_2 = -(1/2) ln(1/2) * 2 = 0.693 and H_1 = 0.637.
-  EXPECT_NEAR(Entropy({0.5, 0.5}), 0.693, 5e-4);
-  EXPECT_NEAR(Entropy({1.0 / 3.0, 2.0 / 3.0}), 0.637, 5e-4);
+  EXPECT_NEAR(Entropy(std::vector<double>{0.5, 0.5}), 0.693, 5e-4);
+  EXPECT_NEAR(Entropy(std::vector<double>{1.0 / 3.0, 2.0 / 3.0}), 0.637,
+              5e-4);
 }
 
 TEST(EntropyTest, DegenerateDistributionIsZero) {
-  EXPECT_DOUBLE_EQ(Entropy({1.0, 0.0, 0.0}), 0.0);
+  EXPECT_DOUBLE_EQ(Entropy(std::vector<double>{1.0, 0.0, 0.0}), 0.0);
 }
 
 TEST(EntropyTest, MaxEntropy) {
@@ -144,10 +146,12 @@ TEST(NormalizeTest, NegativeWeightsTreatedAsZero) {
 TEST(NormalizeTest, EmptyInput) { EXPECT_TRUE(Normalize({}).empty()); }
 
 TEST(ArgMaxTest, FirstOccurrenceWins) {
-  EXPECT_EQ(ArgMax({1.0, 3.0, 3.0, 2.0}), 1u);
+  EXPECT_EQ(ArgMax(std::vector<double>{1.0, 3.0, 3.0, 2.0}), 1u);
 }
 
-TEST(ArgMaxTest, SingleElement) { EXPECT_EQ(ArgMax({7.0}), 0u); }
+TEST(ArgMaxTest, SingleElement) {
+  EXPECT_EQ(ArgMax(std::vector<double>{7.0}), 0u);
+}
 
 TEST(ArgMaxTest, EmptyIsZero) { EXPECT_EQ(ArgMax({}), 0u); }
 

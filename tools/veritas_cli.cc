@@ -176,8 +176,8 @@ Status RunRank(const ArgMap& args) {
   AccuFusion model;
   FusionOptions opts;
   PriorSet priors;
-  const FusionResult fusion = model.Fuse(db, priors, opts);
   const CompiledDatabase compiled(db);
+  const FusionResult fusion = model.Fuse(compiled, priors, opts);
   Rng rng(42);
   GroundTruth truth(db);
   if (args.Has("truth")) {
@@ -199,7 +199,7 @@ Status RunRank(const ArgMap& args) {
   TextTable table({"#", "item", "vote entropy", "output entropy"});
   for (std::size_t r = 0; r < ranked.size(); ++r) {
     table.AddRow({std::to_string(r + 1), db.item(ranked[r]).name,
-                  Num(VoteEntropy(db, ranked[r]), 3),
+                  Num(VoteEntropy(compiled, ranked[r]), 3),
                   Num(fusion.ItemEntropy(ranked[r]), 3)});
   }
   std::cout << "next items to validate (strategy=" << strategy_name
