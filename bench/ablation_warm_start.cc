@@ -38,7 +38,6 @@ int main() {
                   " items)");
 
   StrategyContext ctx;
-  ctx.db = &data.db;
   ctx.compiled = &compiled;
   ctx.fusion = &fusion;
   ctx.priors = &priors;

@@ -58,8 +58,8 @@ int main() {
       }
     }
     table.AddRow({Num(copier_fraction * 100.0, 0) + "%",
-                  Num(FusionAccuracy(data.db, plain_result, data.truth), 3),
-                  Num(FusionAccuracy(data.db, copy_result, data.truth), 3),
+                  Num(FusionAccuracy(plain_result, data.truth), 3),
+                  Num(FusionAccuracy(copy_result, data.truth), 3),
                   Num(with_copier.count() ? with_copier.mean() : 0.0, 3),
                   Num(independent_only.mean(), 3),
                   Num(std::max(with_copier.max(), independent_only.max()),

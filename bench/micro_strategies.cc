@@ -21,7 +21,6 @@ struct Fixture {
     data = GenerateDense(config);
     compiled = std::make_unique<CompiledDatabase>(data.db);
     fusion = model.Fuse(data.db, opts);
-    ctx.db = &data.db;
     ctx.compiled = compiled.get();
     ctx.fusion = &fusion;
     ctx.priors = &priors;

@@ -137,7 +137,6 @@ int RunSweep(const std::string& json_path, ScaleMode mode) {
 
     const PriorSet priors;
     StrategyContext ctx;
-    ctx.db = &db;
     ctx.compiled = &compiled;
     ctx.fusion = &base;
     ctx.priors = &priors;

@@ -47,7 +47,6 @@ int main() {
 
   const PriorSet no_priors;
   StrategyContext ctx;
-  ctx.db = &db;
   ctx.compiled = &compiled;
   ctx.fusion = &fused;
   ctx.priors = &no_priors;

@@ -86,9 +86,6 @@ class ApproxMeuStrategy : public Strategy {
 
   std::string name() const override { return "approx_meu"; }
 
-  /// Drops the cached shard partition.
-  void Reset() override { shard_plan_ = ShardedScanPlan(); }
-
   std::size_t num_threads() const { return scan_.lanes(); }
 
   std::vector<ItemId> SelectBatch(const StrategyContext& ctx,
@@ -118,7 +115,7 @@ class ApproxMeuStrategy : public Strategy {
 
  private:
   CandidateScan scan_;
-  ShardedScanPlan shard_plan_;  // Cached partition (epoch/shard-count keyed).
+  ShardedScanPlan shard_plan_;  // Cached partition (view/shard-count keyed).
 };
 
 }  // namespace veritas

@@ -11,7 +11,6 @@ namespace veritas {
 
 double GubStrategy::CandidateGain(const StrategyContext& ctx, ItemId item,
                                   double current_utility) const {
-  const Database& db = *ctx.db;
   const GroundTruth& truth = *ctx.ground_truth;
   if (mode_ == GubMode::kOracle) {
     const ClaimIndex t = truth.TrueClaim(item);
@@ -19,24 +18,20 @@ double GubStrategy::CandidateGain(const StrategyContext& ctx, ItemId item,
       // Truth unknown: GUB cannot evaluate this item.
       return -std::numeric_limits<double>::infinity();
     }
-    PriorSet lookahead = *ctx.priors;
-    lookahead.SetExact(db, item, t);
     const FusionResult result = ctx.model->Fuse(
-        *ctx.compiled, lookahead, *ctx.fusion_opts,
+        *ctx.compiled, PinnedLookahead(ctx, item, t), *ctx.fusion_opts,
         ctx.warm_start_lookahead ? ctx.fusion : nullptr);
-    return GroundTruthUtility(db, result, truth) - current_utility;
+    return GroundTruthUtility(result, truth) - current_utility;
   }
   // Definition 4: VPI = sum_k U(D, F | v_i^k true) p_i^k - U(D, F).
   double expected = 0.0;
   for (ClaimIndex k = 0; k < ctx.compiled->item_num_claims(item); ++k) {
     const double pk = ctx.fusion->prob(item, k);
     if (pk <= 0.0) continue;
-    PriorSet lookahead = *ctx.priors;
-    lookahead.SetExact(db, item, k);
     const FusionResult result = ctx.model->Fuse(
-        *ctx.compiled, lookahead, *ctx.fusion_opts,
+        *ctx.compiled, PinnedLookahead(ctx, item, k), *ctx.fusion_opts,
         ctx.warm_start_lookahead ? ctx.fusion : nullptr);
-    expected += pk * GroundTruthUtility(db, result, truth);
+    expected += pk * GroundTruthUtility(result, truth);
   }
   return expected - current_utility;
 }
@@ -58,7 +53,7 @@ std::vector<ItemId> GubStrategy::SelectBatch(const StrategyContext& ctx,
   lookaheads->Add(candidates.size());
   candidates_hist->Observe(static_cast<double>(candidates.size()));
   const double current_utility =
-      GroundTruthUtility(*ctx.db, *ctx.fusion, *ctx.ground_truth);
+      GroundTruthUtility(*ctx.fusion, *ctx.ground_truth);
   return scan_.Select(
       candidates, batch,
       [&](std::size_t /*lane*/, std::size_t idx) {

@@ -18,7 +18,6 @@ InteractiveSession::InteractiveSession(const Database& db,
 
 StrategyContext InteractiveSession::MakeContext() {
   StrategyContext ctx;
-  ctx.db = &db_;
   ctx.compiled = &compiled_;
   ctx.fusion = &fusion_;
   ctx.priors = &priors_;

@@ -7,14 +7,13 @@
 #define VERITAS_CORE_METRICS_H_
 
 #include "fusion/fusion_result.h"
-#include "model/database.h"
 #include "model/ground_truth.h"
 
 namespace veritas {
 
 /// distance_to_ground_truth = sum_{i : truth known} (1 - p_i^true) / |O|.
 /// Items with unknown truth contribute zero (partial silver standards).
-double DistanceToGroundTruth(const Database& db, const FusionResult& fusion,
+double DistanceToGroundTruth(const FusionResult& fusion,
                              const GroundTruth& truth);
 
 /// uncertainty = sum_i H_i, the total Shannon entropy (nats) of the output.
@@ -24,7 +23,7 @@ double Uncertainty(const FusionResult& fusion);
 ///   U = (1/|V|) * sum_i p_i^true / |V_i|,
 /// i.e. the average correctness of true claims. 1 means fusion is certain of
 /// every true claim. Items with unknown truth contribute zero.
-double GroundTruthUtility(const Database& db, const FusionResult& fusion,
+double GroundTruthUtility(const FusionResult& fusion,
                           const GroundTruth& truth);
 
 /// Entropy utility (Definition 5): EU = -sum_i H_i. Closer to 0 is better.
@@ -32,8 +31,7 @@ double EntropyUtility(const FusionResult& fusion);
 
 /// Fraction of items with known truth whose winning claim is the true claim
 /// (a conventional accuracy readout, used in examples and reports).
-double FusionAccuracy(const Database& db, const FusionResult& fusion,
-                      const GroundTruth& truth);
+double FusionAccuracy(const FusionResult& fusion, const GroundTruth& truth);
 
 }  // namespace veritas
 

@@ -82,10 +82,8 @@ double MeuStrategy::ExpectedEntropyAfterValidation(const StrategyContext& ctx,
   for (ClaimIndex k = 0; k < ctx.compiled->item_num_claims(item); ++k) {
     const double pk = ctx.fusion->prob(item, k);
     if (pk <= 0.0) continue;  // Zero-probability hypotheses contribute 0.
-    PriorSet lookahead = *ctx.priors;
-    lookahead.SetExact(*ctx.db, item, k);
     const FusionResult result = ctx.model->Fuse(
-        *ctx.compiled, lookahead, *ctx.fusion_opts,
+        *ctx.compiled, PinnedLookahead(ctx, item, k), *ctx.fusion_opts,
         ctx.warm_start_lookahead ? ctx.fusion : nullptr);
     expected += pk * result.TotalEntropy();
   }

@@ -74,12 +74,8 @@ class MeuStrategy : public Strategy {
 
   std::size_t num_threads() const { return scan_.lanes(); }
 
-  /// Clears the cross-round seed ranking and the cached shard partition (the
-  /// pool survives).
-  void Reset() override {
-    seed_ranking_.clear();
-    shard_plan_ = ShardedScanPlan();
-  }
+  /// Clears the cross-round seed ranking (the pool survives).
+  void Reset() override { seed_ranking_.clear(); }
 
   std::vector<ItemId> SelectBatch(const StrategyContext& ctx,
                                   std::size_t batch) override;
@@ -139,8 +135,8 @@ class MeuStrategy : public Strategy {
   MeuScanOptions options_;
   std::vector<LaneScratch> lanes_;
   std::vector<ItemId> seed_ranking_;  // Last round's best, best first.
-  /// Cached shard partition for FusionOptions::shards > 1 (rebuilt on epoch
-  /// or shard-count change).
+  /// Cached shard partition for FusionOptions::shards > 1 (rebuilt when the
+  /// view, its epoch or the shard count changes).
   ShardedScanPlan shard_plan_;
 };
 

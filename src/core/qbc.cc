@@ -6,7 +6,7 @@ std::vector<ItemId> QbcStrategy::SelectBatch(const StrategyContext& ctx,
                                              std::size_t batch) {
   const CompiledDatabase& c = *ctx.compiled;
   const std::uint64_t epoch = c.epoch();
-  if (ranked_.empty() || ranked_db_ != ctx.db || ranked_epoch_ != epoch ||
+  if (ranked_.empty() || ranked_view_id_ != c.id() || ranked_epoch_ != epoch ||
       ranked_includes_singletons_ != ctx.include_singletons) {
     std::vector<ItemId> candidates;
     for (ItemId i = 0; i < c.num_items(); ++i) {
@@ -17,7 +17,7 @@ std::vector<ItemId> QbcStrategy::SelectBatch(const StrategyContext& ctx,
     scores.reserve(candidates.size());
     for (ItemId i : candidates) scores.push_back(VoteEntropy(c, i));
     ranked_ = TopKByScore(candidates, scores, candidates.size());
-    ranked_db_ = ctx.db;
+    ranked_view_id_ = c.id();
     ranked_epoch_ = epoch;
     ranked_includes_singletons_ = ctx.include_singletons;
   }

@@ -14,11 +14,7 @@ class QbcStrategy : public Strategy {
  public:
   std::string name() const override { return "qbc"; }
 
-  void Reset() override {
-    ranked_.clear();
-    ranked_db_ = nullptr;
-    ranked_epoch_ = 0;
-  }
+  void Reset() override { ranked_.clear(); }
 
   std::vector<ItemId> SelectBatch(const StrategyContext& ctx,
                                   std::size_t batch) override;
@@ -27,12 +23,10 @@ class QbcStrategy : public Strategy {
   // Items in descending vote-entropy order, computed lazily on first call.
   // Vote entropies never change during a session over a frozen database
   // (§4.1.1: QBC "does not need to recompute entropies after a validation").
-  // The cache is keyed on the database identity AND the compiled view's
-  // epoch: the identity catches a strategy instance reused across databases,
-  // the epoch catches a streaming database that grew in place under the same
-  // address.
+  // Keyed on the view's (id, epoch): the id tells views apart even at a
+  // recycled address, the epoch catches a streaming view rebuilt in place.
   std::vector<ItemId> ranked_;
-  const Database* ranked_db_ = nullptr;
+  std::uint64_t ranked_view_id_ = 0;
   std::uint64_t ranked_epoch_ = 0;
   bool ranked_includes_singletons_ = false;
 };

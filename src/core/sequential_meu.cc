@@ -10,7 +10,7 @@ namespace veritas {
 namespace {
 
 // Expected entropy of the best single follow-up validation from the state
-// (db, priors, fusion): min over the `inner_beam` most uncertain
+// (view, priors, fusion): min over the `inner_beam` most uncertain
 // unvalidated items of the one-step expected entropy.
 double BestFollowUpEntropy(const StrategyContext& outer, const PriorSet& priors,
                            const FusionResult& fusion,
@@ -57,8 +57,7 @@ double SequentialMeuStrategy::TwoStepExpectedEntropy(
   for (ClaimIndex k = 0; k < ctx.compiled->item_num_claims(item); ++k) {
     const double pk = ctx.fusion->prob(item, k);
     if (pk <= 0.0) continue;
-    PriorSet lookahead = *ctx.priors;
-    lookahead.SetExact(*ctx.db, item, k);
+    const PriorSet lookahead = PinnedLookahead(ctx, item, k);
     const FusionResult state =
         ctx.model->Fuse(*ctx.compiled, lookahead, *ctx.fusion_opts,
                         ctx.warm_start_lookahead ? ctx.fusion : nullptr);

@@ -261,7 +261,7 @@ Result<SessionTrace> FeedbackSession::Run() {
 
   if (!resumed) {
     fusion = model_.Fuse(compiled, trace.priors, options_.fusion);
-    trace.initial_distance = DistanceToGroundTruth(db_, fusion, truth_);
+    trace.initial_distance = DistanceToGroundTruth(fusion, truth_);
     trace.initial_uncertainty = Uncertainty(fusion);
   }
   // Rounds recorded before this process run started; the budget's per-run
@@ -432,7 +432,6 @@ Result<SessionTrace> FeedbackSession::Run() {
     VERITAS_RETURN_IF_ERROR(ingest_tick());
 
     StrategyContext ctx;
-    ctx.db = &db_;
     ctx.compiled = &compiled;
     ctx.fusion = &fusion;
     ctx.priors = &trace.priors;
@@ -550,7 +549,7 @@ Result<SessionTrace> FeedbackSession::Run() {
     if (options_.record_metrics) {
       VERITAS_SPAN("session.metrics");
       Timer metrics_timer;
-      step.distance = DistanceToGroundTruth(db_, fusion, truth_);
+      step.distance = DistanceToGroundTruth(fusion, truth_);
       step.uncertainty = Uncertainty(fusion);
       metrics_hist->Observe(metrics_timer.ElapsedSeconds());
     }

@@ -29,6 +29,13 @@ std::vector<ItemId> CandidateItems(const StrategyContext& ctx) {
   return out;
 }
 
+PriorSet PinnedLookahead(const StrategyContext& ctx, ItemId item,
+                         ClaimIndex k) {
+  PriorSet lookahead = *ctx.priors;
+  lookahead.PinExact(item, ctx.compiled->item_num_claims(item), k);
+  return lookahead;
+}
+
 std::vector<ItemId> TopKByScore(const std::vector<ItemId>& candidates,
                                 const std::vector<double>& scores,
                                 std::size_t k) {

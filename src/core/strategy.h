@@ -1,7 +1,7 @@
 // Strategy: the interface every feedback-ordering method implements (the
-// "next action" problem of §1.2). A strategy looks at the database, the
-// current fusion output and the set of already-validated items, and returns
-// the next item(s) the user should validate.
+// "next action" problem of §1.2). A strategy looks at the compiled view of
+// the database, the current fusion output and the set of already-validated
+// items, and returns the next item(s) the user should validate.
 #ifndef VERITAS_CORE_STRATEGY_H_
 #define VERITAS_CORE_STRATEGY_H_
 
@@ -13,7 +13,6 @@
 #include "fusion/fusion_result.h"
 #include "fusion/priors.h"
 #include "model/compiled_database.h"
-#include "model/database.h"
 #include "model/ground_truth.h"
 #include "util/rng.h"
 
@@ -21,18 +20,16 @@ namespace veritas {
 
 class DeltaFusionEngine;
 
-/// Everything a strategy may consult when choosing the next action.
-/// Pointers that a given strategy does not need may be null (see each
-/// strategy's documentation); `db`, `compiled`, `fusion` and `priors` are
-/// always set.
+/// Everything a strategy may consult when choosing the next action. It holds
+/// no Database: strategies read the compiled view, the fusion output and the
+/// validated set. Pointers that a given strategy does not need may be null
+/// (see each strategy's documentation); `compiled`, `fusion` and `priors`
+/// are always set.
 struct StrategyContext {
-  const Database* db = nullptr;
-  /// The session's one flat CSR view of `db` (frozen: compiled once per
-  /// session; streaming: StreamingDatabase::compiled(), rebuilt per changing
-  /// batch). Its epoch identifies the database generation: strategies that
-  /// cache positional state across calls (QBC's ranking, the shard plans)
-  /// key on it, because the Database object's *address* stays stable while
-  /// a stream grows it.
+  /// The session's one flat CSR view (frozen: compiled once per session;
+  /// streaming: StreamingDatabase::compiled(), rebuilt per changing batch).
+  /// Caches kept across calls (QBC's ranking, the shard plans) key on its
+  /// (id(), epoch()).
   const CompiledDatabase* compiled = nullptr;
   const FusionResult* fusion = nullptr;  ///< Current fusion output <P, A>.
   const PriorSet* priors = nullptr;      ///< Validated items (excluded).
@@ -51,10 +48,10 @@ struct StrategyContext {
   /// current accuracies instead of the initial ones — much faster, same
   /// fixed point. The paper's worked example (Tables 4-6) cold-starts.
   bool warm_start_lookahead = true;
-  /// Incremental lookahead engine for `model` over `db`, or null. When set
-  /// (and warm_start_lookahead is true), MEU-family strategies propagate each
-  /// hypothetical pin over a dirty frontier instead of re-fusing the whole
-  /// database. The session owns the engine and keeps it in sync with `db`.
+  /// Incremental lookahead engine for `model` over `compiled`, or null. When
+  /// set (and warm_start_lookahead is true), MEU-family strategies propagate
+  /// each hypothetical pin over a dirty frontier instead of re-fusing the
+  /// whole database. The session owns the engine and keeps it in sync.
   const DeltaFusionEngine* delta = nullptr;
   /// When true, only items with known ground truth are candidates. Streaming
   /// sessions with a strict (RequireTruth) oracle set this: an item whose
@@ -92,6 +89,11 @@ class Strategy {
 /// The action space Theta: unvalidated items (conflicting only, unless
 /// ctx.include_singletons).
 std::vector<ItemId> CandidateItems(const StrategyContext& ctx);
+
+/// *ctx.priors plus the hypothesis "item's claim k is true" (a one-hot sized
+/// from ctx.compiled; k is asserted in range, there is no error path).
+PriorSet PinnedLookahead(const StrategyContext& ctx, ItemId item,
+                         ClaimIndex k);
 
 /// Picks the `k` highest-scoring candidates (ties broken by lower item id,
 /// deterministically). `scores` is parallel to `candidates`.

@@ -1,5 +1,6 @@
 #include "fusion/priors.h"
 
+#include <cassert>
 #include <cmath>
 
 #include "util/math.h"
@@ -14,10 +15,16 @@ Status PriorSet::SetExact(const Database& db, ItemId item, ClaimIndex claim) {
     return Status::OutOfRange("prior: claim index out of range for item '" +
                               db.item(item).name + "'");
   }
-  std::vector<double> probs(db.num_claims(item), 0.0);
+  PinExact(item, db.num_claims(item), claim);
+  return Status::OK();
+}
+
+void PriorSet::PinExact(ItemId item, std::size_t num_claims,
+                        ClaimIndex claim) {
+  assert(claim < num_claims && "PinExact: claim index out of range");
+  std::vector<double> probs(num_claims, 0.0);
   probs[claim] = 1.0;
   priors_[item] = std::move(probs);
-  return Status::OK();
 }
 
 Status PriorSet::SetDistribution(const Database& db, ItemId item,

@@ -23,6 +23,10 @@ class PriorSet {
   /// Pins `item` to the one-hot distribution with `claim` true (p = 1).
   Status SetExact(const Database& db, ItemId item, ClaimIndex claim);
 
+  /// SetExact without the checks, for an item and claim read off the view
+  /// (lookahead hypotheses); asserts claim < num_claims.
+  void PinExact(ItemId item, std::size_t num_claims, ClaimIndex claim);
+
   /// Pins `item` to an arbitrary distribution over its claims. `probs` must
   /// have one entry per claim, each in [0, 1], summing to 1 (tolerance 1e-6).
   Status SetDistribution(const Database& db, ItemId item,

@@ -7,13 +7,13 @@ namespace veritas {
 void ShardedScanPlan::Prepare(const CompiledDatabase& compiled,
                               std::size_t shards) {
   if (shards == 0) shards = 1;
-  if (partition_ != nullptr && compiled_ == &compiled && shards_ == shards &&
-      partition_->epoch() == compiled.epoch()) {
+  if (partition_ != nullptr && view_id_ == compiled.id() &&
+      partition_->epoch() == compiled.epoch() &&
+      partition_->num_shards() == shards) {
     return;
   }
   partition_ = std::make_unique<ShardPartition>(compiled, shards);
-  compiled_ = &compiled;
-  shards_ = shards;
+  view_id_ = compiled.id();
 }
 
 ShardedScanResult RunShardedScan(const std::vector<ItemId>& candidates,

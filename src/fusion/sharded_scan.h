@@ -35,11 +35,11 @@ namespace veritas {
 
 /// Caches the deterministic ShardPartition for a strategy's sharded scans
 /// and answers per-item propagation scopes. Rebuilds lazily when the view
-/// epoch or the requested shard count changes (streaming appends invalidate
-/// the map — an appended item has no shard).
+/// (its id), its epoch or the requested shard count changes (a rebuilt view
+/// invalidates the map — an appended item has no shard).
 class ShardedScanPlan {
  public:
-  /// Ensures the cached partition matches (compiled.epoch(), shards).
+  /// Ensures the cached partition matches (view id, view epoch, shards).
   void Prepare(const CompiledDatabase& compiled, std::size_t shards);
 
   const ShardPartition& partition() const { return *partition_; }
@@ -67,9 +67,8 @@ class ShardedScanPlan {
   }
 
  private:
-  const CompiledDatabase* compiled_ = nullptr;  ///< Identity of the cache key.
   std::unique_ptr<ShardPartition> partition_;
-  std::size_t shards_ = 0;
+  std::uint64_t view_id_ = 0;  ///< CompiledDatabase::id() of the partition.
 };
 
 /// One stage of the two-stage scan: gains (or estimates) parallel to

@@ -1,5 +1,6 @@
 #include "model/compiled_database.h"
 
+#include <atomic>
 #include <cmath>
 #include <string>
 
@@ -12,9 +13,14 @@ double LogFalseValues(std::size_t num_claims) {
                         : 0.0;
 }
 
+std::atomic<std::uint64_t> g_next_view_id{1};
+
 }  // namespace
 
-CompiledDatabase::CompiledDatabase(const Database& db) { Build(db); }
+CompiledDatabase::CompiledDatabase(const Database& db)
+    : id_(g_next_view_id.fetch_add(1, std::memory_order_relaxed)) {
+  Build(db);
+}
 
 void CompiledDatabase::Build(const Database& db) {
   num_items_ = db.num_items();

@@ -34,6 +34,9 @@ namespace veritas {
 class CompiledDatabase {
  public:
   explicit CompiledDatabase(const Database& db);
+  /// Not copyable: a copy would share the id() that cache keys trust.
+  CompiledDatabase(const CompiledDatabase&) = delete;
+  CompiledDatabase& operator=(const CompiledDatabase&) = delete;
 
   std::size_t num_items() const { return num_items_; }
   std::size_t num_sources() const { return num_sources_; }
@@ -41,8 +44,11 @@ class CompiledDatabase {
   std::size_t num_observations() const { return num_observations_; }
 
   // ---------------------------------------------------------------------
-  // Epoch.
+  // Identity and epoch.
 
+  /// Process-unique, never 0; Rebuild keeps it. Caches that outlive a view
+  /// key on (id(), epoch()): ids are never reused, addresses are.
+  std::uint64_t id() const { return id_; }
   /// Monotonic view generation: bumped by every Rebuild.
   std::uint64_t epoch() const { return epoch_; }
   /// OK when the view still is at `expected`; FailedPrecondition otherwise.
@@ -144,6 +150,7 @@ class CompiledDatabase {
   std::size_t num_sources_ = 0;
   std::size_t num_claims_ = 0;
   std::size_t num_observations_ = 0;
+  const std::uint64_t id_;
   std::uint64_t epoch_ = 0;
 
   std::vector<std::uint32_t> claim_offsets_;         // num_items + 1

@@ -19,7 +19,6 @@ class ApproxMeuTest : public ::testing::Test {
  protected:
   void SetUp() override {
     fusion_ = model_.Fuse(db_, opts_);
-    ctx_.db = &db_;
     ctx_.compiled = &compiled_;
     ctx_.fusion = &fusion_;
     ctx_.priors = &priors_;

@@ -14,7 +14,6 @@ class GubTest : public ::testing::Test {
  protected:
   void SetUp() override {
     fusion_ = model_.Fuse(db_, opts_);
-    ctx_.db = &db_;
     ctx_.compiled = &compiled_;
     ctx_.fusion = &fusion_;
     ctx_.priors = &priors_;
@@ -36,7 +35,7 @@ class GubTest : public ::testing::Test {
 TEST_F(GubTest, OracleModePicksMaxUtilityGain) {
   GubStrategy gub;
   const ItemId pick = gub.SelectNext(ctx_);
-  const double current = GroundTruthUtility(db_, fusion_, truth_);
+  const double current = GroundTruthUtility(fusion_, truth_);
   // Recompute the gain of every candidate by hand; none may beat the pick.
   double pick_gain = -1.0;
   std::vector<double> gains;
@@ -44,7 +43,7 @@ TEST_F(GubTest, OracleModePicksMaxUtilityGain) {
     PriorSet pinned = priors_;
     ASSERT_TRUE(pinned.SetExact(db_, i, truth_.TrueClaim(i)).ok());
     const FusionResult r = model_.Fuse(db_, pinned, opts_, &fusion_);
-    const double gain = GroundTruthUtility(db_, r, truth_) - current;
+    const double gain = GroundTruthUtility(r, truth_) - current;
     gains.push_back(gain);
     if (i == pick) pick_gain = gain;
   }

@@ -23,7 +23,6 @@ class HybridTest : public ::testing::Test {
     data_ = GenerateDense(config);
     compiled_ = std::make_unique<CompiledDatabase>(data_.db);
     fusion_ = model_.Fuse(data_.db, opts_);
-    ctx_.db = &data_.db;
     ctx_.compiled = compiled_.get();
     ctx_.fusion = &fusion_;
     ctx_.priors = &priors_;
@@ -133,7 +132,6 @@ TEST_P(HybridKSweepTest, PickAlwaysInFilteredSet) {
   const FusionResult fusion = model.Fuse(data.db, priors, opts);
   const CompiledDatabase compiled(data.db);
   StrategyContext ctx;
-  ctx.db = &data.db;
   ctx.compiled = &compiled;
   ctx.fusion = &fusion;
   ctx.priors = &priors;

@@ -23,7 +23,7 @@ TEST_F(MetricsTest, DistanceZeroWhenFusionMatchesTruth) {
     ASSERT_TRUE(priors.SetExact(db_, i, truth_.TrueClaim(i)).ok());
   }
   const FusionResult r = model_.Fuse(db_, priors, FusionOptions{});
-  EXPECT_DOUBLE_EQ(DistanceToGroundTruth(db_, r, truth_), 0.0);
+  EXPECT_DOUBLE_EQ(DistanceToGroundTruth(r, truth_), 0.0);
 }
 
 TEST_F(MetricsTest, DistanceCountsOnlyTrueClaims) {
@@ -34,14 +34,14 @@ TEST_F(MetricsTest, DistanceCountsOnlyTrueClaims) {
     expected += (1.0 - r.prob(i, truth_.TrueClaim(i)));
   }
   expected /= static_cast<double>(db_.num_items());
-  EXPECT_NEAR(DistanceToGroundTruth(db_, r, truth_), expected, 1e-12);
+  EXPECT_NEAR(DistanceToGroundTruth(r, truth_), expected, 1e-12);
 }
 
 TEST_F(MetricsTest, DistanceIgnoresUnknownTruth) {
   GroundTruth partial(db_);
   ASSERT_TRUE(partial.SetByValue(db_, "Zootopia", "Howard").ok());
   const FusionResult r = model_.Fuse(db_, FusionOptions{});
-  const double d = DistanceToGroundTruth(db_, r, partial);
+  const double d = DistanceToGroundTruth(r, partial);
   const ItemId zootopia = *db_.FindItem("Zootopia");
   const double manual =
       (1.0 - r.prob(zootopia, *db_.FindClaim(zootopia, "Howard"))) / 6.0;
@@ -50,7 +50,7 @@ TEST_F(MetricsTest, DistanceIgnoresUnknownTruth) {
 
 TEST_F(MetricsTest, DistanceBounds) {
   const FusionResult r = model_.Fuse(db_, FusionOptions{});
-  const double d = DistanceToGroundTruth(db_, r, truth_);
+  const double d = DistanceToGroundTruth(r, truth_);
   EXPECT_GE(d, 0.0);
   EXPECT_LE(d, 1.0);
 }
@@ -76,7 +76,7 @@ TEST_F(MetricsTest, GroundTruthUtilityDefinition3) {
                 static_cast<double>(db_.num_claims(i));
   }
   expected /= static_cast<double>(db_.num_claims());
-  EXPECT_NEAR(GroundTruthUtility(db_, r, truth_), expected, 1e-12);
+  EXPECT_NEAR(GroundTruthUtility(r, truth_), expected, 1e-12);
 }
 
 TEST_F(MetricsTest, GroundTruthUtilityPerfectWhenPinnedToTruth) {
@@ -87,7 +87,7 @@ TEST_F(MetricsTest, GroundTruthUtilityPerfectWhenPinnedToTruth) {
   const FusionResult r = model_.Fuse(db_, priors, FusionOptions{});
   // U = (1/|V|) sum_i 1 / |V_i|; with 5 binary items and 1 singleton:
   // (5 * 0.5 + 1) / 11.
-  EXPECT_NEAR(GroundTruthUtility(db_, r, truth_), (5 * 0.5 + 1.0) / 11.0,
+  EXPECT_NEAR(GroundTruthUtility(r, truth_), (5 * 0.5 + 1.0) / 11.0,
               1e-12);
 }
 
@@ -95,13 +95,13 @@ TEST_F(MetricsTest, FusionAccuracyCountsWinners) {
   const FusionResult r = model_.Fuse(db_, FusionOptions{});
   // Fusion gets 4 of 6 right (it misses Zootopia=Howard and
   // Kung Fu Panda=Stevenson, per Table 3 vs the stars of Table 1).
-  EXPECT_NEAR(FusionAccuracy(db_, r, truth_), 4.0 / 6.0, 1e-12);
+  EXPECT_NEAR(FusionAccuracy(r, truth_), 4.0 / 6.0, 1e-12);
 }
 
 TEST_F(MetricsTest, FusionAccuracyEmptyTruth) {
   const FusionResult r = model_.Fuse(db_, FusionOptions{});
   GroundTruth empty(db_);
-  EXPECT_DOUBLE_EQ(FusionAccuracy(db_, r, empty), 0.0);
+  EXPECT_DOUBLE_EQ(FusionAccuracy(r, empty), 0.0);
 }
 
 TEST_F(MetricsTest, ValidationZeroesTheItemsOwnError) {
@@ -126,7 +126,7 @@ TEST_F(MetricsTest, ValidationZeroesTheItemsOwnError) {
     ASSERT_TRUE(all.SetExact(db_, i, truth_.TrueClaim(i)).ok());
   }
   const FusionResult full = model_.Fuse(db_, all, opts);
-  EXPECT_NEAR(DistanceToGroundTruth(db_, full, truth_), 0.0, 1e-12);
+  EXPECT_NEAR(DistanceToGroundTruth(full, truth_), 0.0, 1e-12);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@ class MeuTest : public ::testing::Test {
  protected:
   void SetUp() override {
     fusion_ = model_.Fuse(db_, opts_);
-    ctx_.db = &db_;
     ctx_.compiled = &compiled_;
     ctx_.fusion = &fusion_;
     ctx_.priors = &priors_;
@@ -149,7 +148,6 @@ TEST(MeuParallelTest, LargerDatasetParallelEquivalence) {
   const FusionResult fusion = model.Fuse(data.db, priors, opts);
   const CompiledDatabase compiled(data.db);
   StrategyContext ctx;
-  ctx.db = &data.db;
   ctx.compiled = &compiled;
   ctx.fusion = &fusion;
   ctx.priors = &priors;

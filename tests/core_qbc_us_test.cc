@@ -14,7 +14,6 @@ class ItemLevelStrategyTest : public ::testing::Test {
  protected:
   void SetUp() override {
     fusion_ = model_.Fuse(db_, opts_);
-    ctx_.db = &db_;
     ctx_.compiled = &compiled_;
     ctx_.fusion = &fusion_;
     ctx_.priors = &priors_;
@@ -85,7 +84,6 @@ TEST_F(ItemLevelStrategyTest, QbcCacheInvalidatedAcrossDatabases) {
   PriorSet other_priors;
   const CompiledDatabase other_compiled(other.db);
   StrategyContext other_ctx = ctx_;
-  other_ctx.db = &other.db;
   other_ctx.compiled = &other_compiled;
   other_ctx.fusion = &other_fusion;
   other_ctx.priors = &other_priors;
@@ -155,7 +153,6 @@ TEST_P(ItemLevelPropertyTest, SelectionsAreSane) {
   const FusionResult fusion = model.Fuse(data.db, priors, opts);
   const CompiledDatabase compiled(data.db);
   StrategyContext ctx;
-  ctx.db = &data.db;
   ctx.compiled = &compiled;
   ctx.fusion = &fusion;
   ctx.priors = &priors;

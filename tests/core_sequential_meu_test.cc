@@ -18,7 +18,6 @@ class SequentialMeuTest : public ::testing::Test {
  protected:
   void SetUp() override {
     fusion_ = model_.Fuse(db_, opts_);
-    ctx_.db = &db_;
     ctx_.compiled = &compiled_;
     ctx_.fusion = &fusion_;
     ctx_.priors = &priors_;
@@ -140,7 +139,6 @@ TEST(SequentialMeuSyntheticTest, TwoStepAtLeastMatchesMyopicPlanValue) {
   const FusionResult fusion = model.Fuse(data.db, priors, opts);
   const CompiledDatabase compiled(data.db);
   StrategyContext ctx;
-  ctx.db = &data.db;
   ctx.compiled = &compiled;
   ctx.fusion = &fusion;
   ctx.priors = &priors;

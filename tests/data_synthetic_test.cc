@@ -381,7 +381,7 @@ TEST_P(GeneratorFusionPropertyTest, FusionBeatsChance) {
   }
   AccuFusion model;
   const FusionResult r = model.Fuse(data.db, FusionOptions{});
-  EXPECT_GT(FusionAccuracy(data.db, r, data.truth), 0.75);
+  EXPECT_GT(FusionAccuracy(r, data.truth), 0.75);
 }
 
 INSTANTIATE_TEST_SUITE_P(

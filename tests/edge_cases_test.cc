@@ -43,7 +43,6 @@ TEST(EdgeCaseTest, EmptyDatabaseStrategiesReturnNothing) {
   Rng rng(1);
   const CompiledDatabase compiled(db);
   StrategyContext ctx;
-  ctx.db = &db;
   ctx.compiled = &compiled;
   ctx.fusion = &fusion;
   ctx.priors = &priors;
@@ -109,7 +108,7 @@ TEST(EdgeCaseTest, TotallyAdversarialMajority) {
   ASSERT_TRUE(priors.SetExact(db, 0, *db.FindClaim(0, "right")).ok());
   const FusionResult after = model.Fuse(db, priors, FusionOptions{});
   EXPECT_DOUBLE_EQ(after.prob(0, *db.FindClaim(0, "right")), 1.0);
-  EXPECT_DOUBLE_EQ(DistanceToGroundTruth(db, after, truth), 0.0);
+  EXPECT_DOUBLE_EQ(DistanceToGroundTruth(after, truth), 0.0);
 }
 
 TEST(EdgeCaseTest, ManyClaimsPerItem) {

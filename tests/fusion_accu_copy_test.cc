@@ -88,9 +88,9 @@ TEST(AccuCopyTest, DiscountedVotesFlipCliqueDominatedItems) {
   EXPECT_EQ(plain_right, 0u);
   // ...while copy-aware fusion wins them all.
   EXPECT_EQ(copy_right, 8u);
-  EXPECT_DOUBLE_EQ(FusionAccuracy(db, copy_result, truth), 1.0);
-  EXPECT_GT(FusionAccuracy(db, copy_result, truth),
-            FusionAccuracy(db, plain_result, truth));
+  EXPECT_DOUBLE_EQ(FusionAccuracy(copy_result, truth), 1.0);
+  EXPECT_GT(FusionAccuracy(copy_result, truth),
+            FusionAccuracy(plain_result, truth));
 }
 
 TEST(AccuCopyTest, MatchesAccuNoDepWithoutCopying) {

@@ -20,7 +20,10 @@
 #include <string>
 #include <vector>
 
+#include "core/oracle.h"
+#include "core/session.h"
 #include "core/session_checkpoint.h"
+#include "core/strategy_factory.h"
 #include "data/synthetic.h"
 #include "fusion/fusion_factory.h"
 #include "test_dir.h"
@@ -128,6 +131,61 @@ INSTANTIATE_TEST_SUITE_P(
                       GoldenCase{"pooled_investment", 0xadc6622d1955c259ULL}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return std::string(info.param.model);
+    });
+
+// Strategy selections pinned: the items each strategy validates over five
+// single-item rounds of a perfect-oracle Accu session on the long-tail
+// dataset. GUB, SequentialMEU and MEU without the delta engine fuse every
+// lookahead hypothesis as a pinned PriorSet; QBC replays a ranking cached
+// across rounds. A change to either path that moves one pick fails here.
+struct SelectionCase {
+  const char* name;
+  const char* strategy;
+  bool use_delta;
+  std::vector<ItemId> picks;
+
+  friend std::ostream& operator<<(std::ostream& os, const SelectionCase& c) {
+    return os << c.name;
+  }
+};
+
+class StrategySelectionGoldenTest
+    : public ::testing::TestWithParam<SelectionCase> {};
+
+TEST_P(StrategySelectionGoldenTest, PicksMatchPinnedSequence) {
+  const SelectionCase& c = GetParam();
+  auto model = MakeFusionModel("accu");
+  ASSERT_TRUE(model.ok());
+  auto strategy = MakeStrategy(c.strategy);
+  ASSERT_TRUE(strategy.ok());
+  const SyntheticDataset data = Dataset(/*dense=*/false);
+  PerfectOracle oracle;
+  SessionOptions options;
+  options.max_validations = 5;
+  options.fusion.use_delta_fusion = c.use_delta;
+  FeedbackSession session(data.db, **model, strategy->get(), &oracle,
+                          data.truth, options, /*rng=*/nullptr);
+  const Result<SessionTrace> trace = session.Run();
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  std::vector<ItemId> picks;
+  for (const SessionStep& step : trace->steps) {
+    picks.insert(picks.end(), step.items.begin(), step.items.end());
+  }
+  EXPECT_EQ(picks, c.picks) << c.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LookaheadAndCachedStrategies, StrategySelectionGoldenTest,
+    ::testing::Values(
+        SelectionCase{"gub", "gub", true, {106, 199, 135, 139, 140}},
+        SelectionCase{"gub_expectation", "gub_expectation", true,
+                      {122, 96, 155, 182, 105}},
+        SelectionCase{"sequential_meu", "meu2", true,
+                      {135, 139, 199, 140, 106}},
+        SelectionCase{"meu_no_delta", "meu", false, {135, 199, 139, 140, 176}},
+        SelectionCase{"qbc", "qbc", true, {27, 43, 76, 132, 139}}),
+    [](const ::testing::TestParamInfo<SelectionCase>& info) {
+      return std::string(info.param.name);
     });
 
 // The checkpoint codec writes a FusionResult item by item; its bytes must

@@ -1,19 +1,23 @@
 // Tests of the sharded two-stage candidate scan (fusion/sharded_scan.h,
 // DESIGN.md §5h): the coordinator merge, the shards=1 bypass, sharded vs.
 // unsharded selection equality across fusion models, Approx-MEU scores over
-// a growing streaming view, the empty-shard edge case, and thread-count
+// a growing streaming view, the empty-shard edge case, thread-count
 // invariance of the sharded scan (this file is part of the concurrency
-// suite, so the multi-lane cases also run under TSan).
+// suite, so the multi-lane cases also run under TSan), and cache identity
+// when a new view is built at a recycled address.
 #include "fusion/sharded_scan.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/approx_meu.h"
 #include "core/meu.h"
 #include "core/strategy.h"
+#include "core/strategy_factory.h"
 #include "data/synthetic.h"
 #include "fusion/accu.h"
 #include "fusion/fusion_factory.h"
@@ -142,7 +146,6 @@ TEST_P(ShardedSelectionTest, ShardedMatchesUnsharded) {
   const PriorSet priors;
   FusionOptions scan_opts = opts;
   StrategyContext ctx;
-  ctx.db = &data.db;
   ctx.compiled = &compiled;
   ctx.fusion = &base;
   ctx.priors = &priors;
@@ -200,7 +203,6 @@ TEST(ShardedSelectionTest, GrowingViewScoresMatchFreshView) {
     const FusionResult fusion = model.Fuse(stream.db(), priors, opts);
     const CompiledDatabase fresh(stream.db());
     StrategyContext live;
-    live.db = &stream.db();
     live.compiled = &stream.compiled();
     live.fusion = &fusion;
     live.priors = &priors;
@@ -257,7 +259,6 @@ TEST(ShardedSelectionTest, MoreShardsThanItems) {
 
   const PriorSet priors;
   StrategyContext ctx;
-  ctx.db = &db;
   ctx.compiled = &compiled;
   ctx.fusion = &base;
   ctx.priors = &priors;
@@ -296,7 +297,6 @@ TEST(ShardedSelectionTest, ThreadCountDoesNotChangeShardedSelections) {
 
   const PriorSet priors;
   StrategyContext ctx;
-  ctx.db = &data.db;
   ctx.compiled = &compiled;
   ctx.fusion = &base;
   ctx.priors = &priors;
@@ -335,7 +335,6 @@ TEST(ShardedSelectionTest, ConfinedScoreMatchesPerShardImpactFilter) {
 
   const PriorSet priors;
   StrategyContext ctx;
-  ctx.db = &data.db;
   ctx.compiled = &compiled;
   ctx.fusion = &base;
   ctx.priors = &priors;
@@ -388,7 +387,6 @@ TEST(ShardedSelectionTest, ApproxMeuShardThreadInvariance) {
 
   const PriorSet priors;
   StrategyContext ctx;
-  ctx.db = &data.db;
   ctx.compiled = &compiled;
   ctx.fusion = &base;
   ctx.priors = &priors;
@@ -413,6 +411,62 @@ TEST(ShardedSelectionTest, ApproxMeuShardThreadInvariance) {
     }
   }
 }
+
+// ---------- Cache identity across views ----------
+
+// QBC's ranking and the shard plans cache positional state across calls,
+// keyed on the view. A view destroyed and rebuilt in the same storage (same
+// address, epoch 0 again) over a different database must miss those
+// caches: the same strategy instance, called without Reset(), selects
+// exactly what a fresh instance selects. Sessions call Reset() before they
+// run, so only direct API callers reach this path.
+class ViewReuseTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ViewReuseTest, NewViewAtSameAddressMissesTheCache) {
+  struct Shape {
+    std::size_t items;
+    std::uint64_t seed;
+  };
+  AccuFusion model;
+  FusionOptions opts;
+  opts.shards = 2;
+  const PriorSet priors;
+  std::optional<SyntheticDataset> data;
+  std::optional<CompiledDatabase> view;
+  auto reused = MakeStrategy(GetParam());
+  ASSERT_TRUE(reused.ok());
+  // Small, large, small again: the view shrinks and grows under the cache.
+  for (const Shape shape : {Shape{60, 3}, Shape{400, 11}, Shape{60, 3}}) {
+    LongTailConfig config;
+    config.num_items = shape.items;
+    config.num_sources = 80;
+    config.seed = shape.seed;
+    data.emplace(GenerateLongTail(config));
+    view.emplace(data->db);
+    const FusionResult fusion = model.Fuse(*view, priors, opts);
+    const auto engine = DeltaFusionEngine::Create(*view, model, opts);
+    ASSERT_NE(engine, nullptr);
+    StrategyContext ctx;
+    ctx.compiled = &*view;
+    ctx.fusion = &fusion;
+    ctx.priors = &priors;
+    ctx.model = &model;
+    ctx.fusion_opts = &opts;
+    ctx.ground_truth = &data->truth;
+    ctx.delta = engine.get();
+
+    auto fresh = MakeStrategy(GetParam());
+    ASSERT_TRUE(fresh.ok());
+    const std::vector<ItemId> expected = (*fresh)->SelectBatch(ctx, 5);
+    ASSERT_EQ(expected.size(), 5u) << shape.items << " items";
+    EXPECT_EQ((*reused)->SelectBatch(ctx, 5), expected)
+        << shape.items << " items, seed " << shape.seed;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(CachingStrategies, ViewReuseTest,
+                         ::testing::Values("qbc", "meu", "approx_meu"),
+                         [](const auto& info) { return info.param; });
 
 }  // namespace
 }  // namespace veritas

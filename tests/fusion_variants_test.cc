@@ -68,7 +68,7 @@ TEST_P(FusionConformanceTest, BeatsCoinFlipOnSyntheticData) {
       (*model)->Fuse(dataset.db, PriorSet(), FusionOptions{});
   // With mostly-accurate sources every reasonable fusion model should pick
   // the true claim for well over half of the items.
-  EXPECT_GT(FusionAccuracy(dataset.db, r, dataset.truth), 0.7)
+  EXPECT_GT(FusionAccuracy(r, dataset.truth), 0.7)
       << GetParam();
 }
 

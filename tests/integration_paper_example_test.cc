@@ -22,7 +22,6 @@ class PaperExampleTest : public ::testing::Test {
  protected:
   void SetUp() override {
     fusion_ = model_.Fuse(db_, opts_);
-    ctx_.db = &db_;
     ctx_.compiled = &compiled_;
     ctx_.fusion = &fusion_;
     ctx_.priors = &priors_;
@@ -182,14 +181,14 @@ TEST_F(PaperExampleTest, GubFirstPickIsTheManualArgmax) {
   // verify GUB selected the argmax. (On this adversarial example every
   // single validation can have negative global gain — GUB still picks the
   // least harmful one.)
-  const double current = GroundTruthUtility(db_, fusion_, truth_);
+  const double current = GroundTruthUtility(fusion_, truth_);
   double best_gain = -1e300;
   ItemId best_item = kInvalidItem;
   for (ItemId i : db_.ConflictingItems()) {
     PriorSet pinned;
     ASSERT_TRUE(pinned.SetExact(db_, i, truth_.TrueClaim(i)).ok());
     const FusionResult r = model_.Fuse(db_, pinned, opts_);
-    const double gain = GroundTruthUtility(db_, r, truth_) - current;
+    const double gain = GroundTruthUtility(r, truth_) - current;
     if (gain > best_gain) {
       best_gain = gain;
       best_item = i;

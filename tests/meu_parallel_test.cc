@@ -48,7 +48,6 @@ struct ScanFixture {
     fusion = model->Fuse(data.db, priors, opts);
     compiled = std::make_unique<CompiledDatabase>(data.db);
     delta = DeltaFusionEngine::Create(*compiled, *model, opts);
-    ctx.db = &data.db;
     ctx.compiled = compiled.get();
     ctx.fusion = &fusion;
     ctx.priors = &priors;

@@ -71,7 +71,6 @@ TEST_P(StrategyContractTest, BatchIsDistinctUnvalidatedConflicting) {
 
   const CompiledDatabase compiled(data.db);
   StrategyContext ctx;
-  ctx.db = &data.db;
   ctx.compiled = &compiled;
   ctx.fusion = &fusion;
   ctx.priors = &priors;
@@ -105,7 +104,6 @@ TEST_P(StrategyContractTest, SelectionIsDeterministicGivenSeed) {
     Rng rng(42);
     const CompiledDatabase compiled(data.db);
     StrategyContext ctx;
-    ctx.db = &data.db;
     ctx.compiled = &compiled;
     ctx.fusion = &fusion;
     ctx.priors = &priors;
@@ -226,7 +224,6 @@ TEST_P(DifferentialInvariantTest, CsrKernelMatchesBruteForceReference) {
     const FusionResult fusion = model.Fuse(data.db, priors, opts);
     const CompiledDatabase compiled(data.db);
     StrategyContext ctx;
-    ctx.db = &data.db;
     ctx.compiled = &compiled;
     ctx.fusion = &fusion;
     ctx.priors = &priors;
@@ -273,7 +270,6 @@ TEST_P(DifferentialInvariantTest, MeuAndApproxAgreeOnObviousWinner) {
   const FusionResult fusion = model.Fuse(data.db, priors, opts);
   const CompiledDatabase compiled(data.db);
   StrategyContext ctx;
-  ctx.db = &data.db;
   ctx.compiled = &compiled;
   ctx.fusion = &fusion;
   ctx.priors = &priors;

@@ -185,7 +185,6 @@ Status RunRank(const ArgMap& args) {
   }
 
   StrategyContext ctx;
-  ctx.db = &db;
   ctx.compiled = &compiled;
   ctx.fusion = &fusion;
   ctx.priors = &priors;

@@ -148,9 +148,9 @@ Status RunReplay(const ArgMap& args) {
   // initial distance is 0; compare instead against a no-feedback fusion of
   // the database the session ended on (untimed, before the drain grows it).
   const double feedback_distance =
-      DistanceToGroundTruth(stream.db(), trace.final_fusion, truth);
-  const double baseline_distance = DistanceToGroundTruth(
-      stream.db(), model->Fuse(stream.db(), options.fusion), truth);
+      DistanceToGroundTruth(trace.final_fusion, truth);
+  const double baseline_distance =
+      DistanceToGroundTruth(model->Fuse(stream.db(), options.fusion), truth);
   const double distance_reduction =
       baseline_distance > 0.0
           ? (feedback_distance - baseline_distance) / baseline_distance * 100.0

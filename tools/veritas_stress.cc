@@ -152,8 +152,7 @@ FleetConfig ParseFleetConfig(const ArgMap& args) {
 /// Session `i` of the fleet; `mix` in [0, 1) picks its chaos bucket.
 SessionSpec FleetSpec(const FleetConfig& config, long i, double mix) {
   SessionSpec spec;
-  spec.id = "s";
-  spec.id += std::to_string(i);
+  spec.id = "s" + std::to_string(i);
   spec.strategy = config.strategy;
   spec.model = config.model;
   spec.max_validations = static_cast<std::size_t>(config.max_validations);
