@@ -91,7 +91,8 @@ class ReferenceAccuFusion : public FusionModel {
       }
       scores[k] = score;
     }
-    return SoftmaxFromLogScores(scores);
+    SoftmaxInPlace(scores);
+    return scores;
   }
 
   static void UpdateProbabilities(const Database& db, const PriorSet& priors,

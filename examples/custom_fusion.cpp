@@ -45,12 +45,12 @@ class TrustedSourcesFusion : public FusionModel {
         std::copy(prior.begin(), prior.end(), probs.begin());
         continue;
       }
-      std::vector<double> mass(c.item_num_claims(i), 0.0);
+      // Trust mass straight into the item's distribution (the result
+      // starts at zero), normalized in place: no per-item vector.
       c.ForEachItemVote(i, [&](SourceId source, ClaimIndex claim) {
-        mass[claim] += IsTrusted(source) ? 2.0 : 1.0;
+        probs[claim] += IsTrusted(source) ? 2.0 : 1.0;
       });
-      const std::vector<double> normalized = Normalize(mass);
-      std::copy(normalized.begin(), normalized.end(), probs.begin());
+      NormalizeInPlace(probs);
     }
     result.set_iterations(1);
     result.set_converged(true);

@@ -253,7 +253,7 @@ Result<SessionTrace> FeedbackSession::Run() {
   // Every re-fusion — after a validation round and after a streaming tick —
   // is this one call. A warm result from before an append is a legal warm
   // start: appended sources start at the initial accuracy
-  // (WarmStartAccuracies).
+  // (FixedPointDriver).
   const auto refuse = [&] {
     return model_.Fuse(compiled, trace.priors, options_.fusion,
                        options_.warm_start ? &fusion : nullptr);

@@ -13,7 +13,8 @@ std::vector<double> ConsolidateByMajority(const ItemAnswers& answers) {
     assert(a.claim < answers.num_claims);
     counts[a.claim] += 1.0;
   }
-  return Normalize(counts);
+  NormalizeInPlace(counts);
+  return counts;
 }
 
 EmConsolidation ConsolidateByEm(const std::vector<ItemAnswers>& items,
@@ -32,7 +33,8 @@ EmConsolidation ConsolidateByEm(const std::vector<ItemAnswers>& items,
     for (std::size_t idx = 0; idx < items.size(); ++idx) {
       const ItemAnswers& item = items[idx];
       const std::size_t n_claims = std::max<std::size_t>(item.num_claims, 1);
-      std::vector<double> log_scores(n_claims, 0.0);
+      std::vector<double>& log_scores = out.item_distributions[idx];
+      log_scores.assign(n_claims, 0.0);
       for (const WorkerAnswer& a : item.answers) {
         const double acc =
             Clamp(out.worker_accuracies[a.worker], 0.01, 0.99);
@@ -43,7 +45,7 @@ EmConsolidation ConsolidateByEm(const std::vector<ItemAnswers>& items,
           log_scores[k] += std::log(k == a.claim ? acc : wrong_share);
         }
       }
-      out.item_distributions[idx] = SoftmaxFromLogScores(log_scores);
+      SoftmaxInPlace(log_scores);
     }
     // M-step: worker accuracy = smoothed expected fraction of answers that
     // agree with the current posterior.

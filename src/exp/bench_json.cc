@@ -37,7 +37,10 @@ std::string EscapeJson(const std::string& s) {
 }
 
 std::string QuotedJson(const std::string& s) {
-  return "\"" + EscapeJson(s) + "\"";
+  std::string quoted = "\"";
+  quoted += EscapeJson(s);
+  quoted += '"';
+  return quoted;
 }
 
 std::string NumberJson(double value) {

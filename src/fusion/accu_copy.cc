@@ -119,6 +119,7 @@ FusionResult AccuCopyFusion::FuseCompiled(const CompiledDatabase& c,
                                           const PriorSet& priors,
                                           const FusionOptions& opts,
                                           const FusionResult* warm) const {
+  static const FixedPointInstruments instruments("accu_copy");
   const std::size_t n_sources = c.num_sources();
   // Per-call dependence matrix: Fuse must not touch shared members while
   // running (MEU scores candidates with concurrent lookahead Fuse calls).
@@ -131,27 +132,70 @@ FusionResult AccuCopyFusion::FuseCompiled(const CompiledDatabase& c,
   // shared lies labelled "true" and escapes detection (and, worse, honest
   // minority pairs get flagged). At this stage the dominant, non-circular
   // signal is the pair's raw agreement rate: copiers never disagree on
-  // shared items, independent sources do.
-  AccuFusion base;
+  // shared items, independent sources do. The bootstrap replaces the
+  // driver's fresh result; both set the same fixed items.
+  FixedPointDriver driver(instruments, c, priors, opts, warm);
   FusionOptions bootstrap = opts;
   bootstrap.max_iterations = 1;
-  FusionResult result = base.Fuse(c, priors, bootstrap, warm);
-
-  std::vector<double> accuracies = result.accuracies();
-  const std::span<double> probs = result.mutable_probs();
-  const std::vector<char> fixed = MarkFixedItems(c, priors, probs);
+  driver.result() = AccuFusion().Fuse(c, priors, bootstrap, warm);
+  driver.accuracies() = driver.result().accuracies();
+  const FusionResult& result = driver.result();
+  std::vector<double>& accuracies = driver.accuracies();
+  const std::vector<char>& fixed = driver.fixed();
   const std::vector<SourceId>& claim_sources = c.claim_sources();
-  std::vector<double> independence_weight;  // Scratch per claim scoring.
+  // Scratch of one claim's scoring, reused across claims and iterations.
+  std::vector<SourceId> ordered;
+  std::vector<double> independence_weight;
+
+  // Eq. (1) with discounted votes. Ordered discounting (Dong et al.): count
+  // the most accurate voter in full, then discount each further voter by
+  // its dependence on the voters already counted — so a clique of copiers
+  // contributes barely more than its best member.
+  const auto update_probabilities = [&](const std::vector<double>& acc,
+                                        std::span<double> probs) {
+    for (ItemId i = 0; i < c.num_items(); ++i) {
+      if (fixed[i]) continue;
+      const std::uint32_t g = c.claim_offset(i);
+      const std::size_t n = c.item_num_claims(i);
+      const double false_values = static_cast<double>(n) - 1.0;
+      for (std::size_t k = 0; k < n; ++k) {
+        ordered.assign(claim_sources.begin() + c.claim_sources_begin(g + k),
+                       claim_sources.begin() + c.claim_sources_end(g + k));
+        std::sort(ordered.begin(), ordered.end(),
+                  [&](SourceId x, SourceId y) {
+                    if (acc[x] != acc[y]) return acc[x] > acc[y];
+                    return x < y;
+                  });
+        independence_weight.assign(ordered.size(), 1.0);
+        for (std::size_t x = 1; x < ordered.size(); ++x) {
+          for (std::size_t y = 0; y < x; ++y) {
+            const double dep =
+                dependence[static_cast<std::size_t>(ordered[x]) * n_sources +
+                           ordered[y]];
+            independence_weight[x] *= 1.0 - copy_options_.copy_rate * dep;
+          }
+        }
+        double score = 0.0;
+        for (std::size_t x = 0; x < ordered.size(); ++x) {
+          const double a = ClampAccuracy(acc[ordered[x]]);
+          score += independence_weight[x] *
+                   std::log(false_values * a / (1.0 - a));
+        }
+        probs[g + k] = score;
+      }
+      SoftmaxInPlace(probs.subspan(g, n));
+    }
+  };
 
   // Hard stop (see FusionOptions::cancel): the O(sources²) dependence scan
-  // and the inner EM loop both poll at their boundaries and bail with
-  // converged=false; the bootstrap result above keeps the output well
-  // formed. Graceful stops never interrupt a fusion in flight.
-  bool stopped = false;
-  for (std::size_t round = 0;
-       round < copy_options_.dependence_rounds && !stopped; ++round) {
+  // polls at its boundaries and the inner EM at the driver's; a stop ends
+  // the rounds with converged=false. Graceful stops never interrupt a
+  // fusion in flight.
+  for (std::size_t round = 0; round < copy_options_.dependence_rounds;
+       ++round) {
     // 1. Re-estimate pairwise dependence under the current beliefs.
-    for (SourceId a = 0; a < n_sources && !stopped; ++a) {
+    bool stopped = false;
+    for (SourceId a = 0; a < n_sources; ++a) {
       if (HardStopRequested(opts.cancel)) {
         stopped = true;
         break;
@@ -180,82 +224,24 @@ FusionResult AccuCopyFusion::FuseCompiled(const CompiledDatabase& c,
         dependence[static_cast<std::size_t>(b) * n_sources + a] = posterior;
       }
     }
+    if (stopped) {
+      driver.result().set_converged(false);
+      break;
+    }
 
     // 2. Re-solve truth discovery under the refined dependence model,
     //    starting from fresh accuracies: carrying accuracies polarized by a
     //    previous round's (possibly clique-dominated) solution would anchor
     //    the very errors the discounting is meant to undo.
-    if (stopped) break;
     std::fill(accuracies.begin(), accuracies.end(), opts.initial_accuracy);
-    bool converged = false;
-    std::size_t iter = 0;
-    while (iter < opts.max_iterations) {
-      if (HardStopRequested(opts.cancel)) {
-        stopped = true;
-        break;
-      }
-      ++iter;
-      for (ItemId i = 0; i < c.num_items(); ++i) {
-        if (fixed[i]) continue;
-        const std::uint32_t g = c.claim_offset(i);
-        const std::size_t n = c.item_num_claims(i);
-        const double false_values = static_cast<double>(n) - 1.0;
-        std::vector<double> scores(n, 0.0);
-        std::vector<SourceId> ordered;
-        for (std::size_t k = 0; k < n; ++k) {
-          // Ordered discounting (Dong et al.): count the most accurate
-          // voter in full, then discount each further voter by its
-          // dependence on the voters already counted — so a clique of
-          // copiers contributes barely more than its best member.
-          ordered.assign(claim_sources.begin() + c.claim_sources_begin(g + k),
-                         claim_sources.begin() + c.claim_sources_end(g + k));
-          std::sort(ordered.begin(), ordered.end(),
-                    [&](SourceId x, SourceId y) {
-                      if (accuracies[x] != accuracies[y]) {
-                        return accuracies[x] > accuracies[y];
-                      }
-                      return x < y;
-                    });
-          independence_weight.assign(ordered.size(), 1.0);
-          for (std::size_t x = 1; x < ordered.size(); ++x) {
-            for (std::size_t y = 0; y < x; ++y) {
-              const double dep =
-                  dependence[static_cast<std::size_t>(ordered[x]) *
-                                 n_sources +
-                             ordered[y]];
-              independence_weight[x] *=
-                  1.0 - copy_options_.copy_rate * dep;
-            }
-          }
-          double score = 0.0;
-          for (std::size_t x = 0; x < ordered.size(); ++x) {
-            const double a = ClampAccuracy(accuracies[ordered[x]]);
-            score += independence_weight[x] *
-                     std::log(false_values * a / (1.0 - a));
-          }
-          scores[k] = score;
-        }
-        const std::vector<double> posterior = SoftmaxFromLogScores(scores);
-        std::copy(posterior.begin(), posterior.end(), probs.begin() + g);
-      }
-      // Accuracy update (Eq. 2).
-      const double max_delta = UpdateMeanVoteAccuracies(c, probs, &accuracies);
-      if (max_delta < opts.tolerance) {
-        converged = true;
-        break;
-      }
-    }
-    result.set_iterations(iter);
-    result.set_converged(converged && !stopped);
+    driver.Run(update_probabilities);
   }
-  if (stopped) result.set_converged(false);
-  *result.mutable_accuracies() = std::move(accuracies);
   {
     std::lock_guard<std::mutex> lock(diag_mutex_);
     last_num_sources_ = n_sources;
     dependence_ = std::move(dependence);
   }
-  return result;
+  return driver.Finish();
 }
 
 }  // namespace veritas

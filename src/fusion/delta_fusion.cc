@@ -55,12 +55,11 @@ std::unique_ptr<DeltaFusionEngine> DeltaFusionEngine::Create(
 }
 
 double DeltaFusionEngine::ScoreTerm(double accuracy) const {
-  const double a = ClampAccuracy(accuracy);
   switch (kind_) {
     case Kind::kAccu:
-      return std::log(a / (1.0 - a));
+      return AccuFusion::SourceTerm(accuracy);
     case Kind::kTruthFinder:
-      return -std::log(1.0 - a);
+      return TruthFinderFusion::SourceTerm(accuracy);
     case Kind::kVoting:
       return 0.0;
   }
@@ -149,7 +148,6 @@ void DeltaFusionEngine::RecomputeItems(Workspace& ws) const {
   // Without accuracy coupling no source enrolls an item, so a Voting
   // lookahead never has a frontier; only Accu and TruthFinder reach here.
   assert(kind_ != Kind::kVoting);
-  const std::vector<SourceId>& claim_sources = c.claim_sources();
 
   // Pass 0: lay the frontier's claims out flat (one prefix-sum of offsets),
   // so the hot passes below run over dense contiguous buffers instead of
@@ -165,49 +163,27 @@ void DeltaFusionEngine::RecomputeItems(Workspace& ws) const {
   if (ws.frontier_probs_.size() < flat) ws.frontier_probs_.resize(flat);
   if (ws.frontier_entropy_.size() < m) ws.frontier_entropy_.resize(m);
 
-  // Pass 1: score gather — one CSR sweep over claim_sources accumulating
-  // the cached per-source terms. term_ is never written during this pass,
-  // so batching across items cannot change any item's arithmetic.
+  // Pass 1: score gather — the models' own Eq. (1) gather over the cached
+  // per-source terms. term_ is never written during this pass, so batching
+  // across items cannot change any item's arithmetic.
   const double* term = ws.term_.data();
+  const auto term_of = [term](SourceId j) { return term[j]; };
   double* scores = ws.frontier_scores_.data();
-  if (kind_ == Kind::kAccu) {
-    for (std::size_t f = 0; f < m; ++f) {
-      const ItemId item = ws.frontier_[f];
-      const std::uint32_t g = c.claim_offset(item);
-      const std::size_t n = c.item_num_claims(item);
-      const double lf = c.log_false_values(item);
-      double* out = scores + ws.frontier_offsets_[f];
-      for (std::size_t k = 0; k < n; ++k) {
-        const std::uint32_t begin = c.claim_sources_begin(g + k);
-        const std::uint32_t end = c.claim_sources_end(g + k);
-        double score = static_cast<double>(end - begin) * lf;
-        for (std::uint32_t v = begin; v < end; ++v) {
-          score += term[claim_sources[v]];
-        }
-        out[k] = score;
-      }
-    }
-  } else {  // kTruthFinder
-    for (std::size_t f = 0; f < m; ++f) {
-      const ItemId item = ws.frontier_[f];
-      const std::uint32_t g = c.claim_offset(item);
-      const std::size_t n = c.item_num_claims(item);
-      double* out = scores + ws.frontier_offsets_[f];
-      for (std::size_t k = 0; k < n; ++k) {
-        const std::uint32_t begin = c.claim_sources_begin(g + k);
-        const std::uint32_t end = c.claim_sources_end(g + k);
-        double sigma = 0.0;
-        for (std::uint32_t v = begin; v < end; ++v) {
-          sigma += term[claim_sources[v]];
-        }
-        out[k] = sigma;
-      }
-    }
+  for (std::size_t f = 0; f < m; ++f) {
+    const ItemId item = ws.frontier_[f];
+    const double per_vote =
+        kind_ == Kind::kAccu ? c.log_false_values(item) : 0.0;
+    GatherClaimScores(c, item, per_vote, term_of,
+                      scores + ws.frontier_offsets_[f]);
   }
 
   // Pass 2: probabilities + entropies from the flat scores, per item (the
   // same arithmetic, in the same order, as the old one-item-at-a-time
-  // update).
+  // update). Accu's softmax here is its own: the sigmoid form for two
+  // claims and one division by the sum otherwise, with the entropy fused
+  // in. It rounds differently from Fuse's SoftmaxInPlace; a lookahead only
+  // has to agree with a warm Fuse within the tolerance, and this loop is
+  // the MEU hot path.
   double* probs = ws.frontier_probs_.data();
   for (std::size_t f = 0; f < m; ++f) {
     const std::size_t off = ws.frontier_offsets_[f];
@@ -256,16 +232,8 @@ void DeltaFusionEngine::RecomputeItems(Workspace& ws) const {
         }
       }
     } else {  // kTruthFinder
-      double total = 0.0;
-      for (std::size_t k = 0; k < n; ++k) {
-        const double conf = 1.0 / (1.0 + std::exp(-gamma_ * s[k]));
-        p[k] = conf;
-        total += conf;
-      }
-      for (std::size_t k = 0; k < n; ++k) {
-        p[k] /= total;
-        h += EntropyTerm(p[k]);
-      }
+      TruthFinderFusion::ConfidenceShares(gamma_, {s, n}, {p, n});
+      for (std::size_t k = 0; k < n; ++k) h += EntropyTerm(p[k]);
     }
     ws.frontier_entropy_[f] = h;
   }

@@ -15,7 +15,11 @@
 #ifndef VERITAS_FUSION_TRUTHFINDER_H_
 #define VERITAS_FUSION_TRUTHFINDER_H_
 
+#include <cmath>
+#include <span>
+
 #include "fusion/fusion_model.h"
+#include "util/math.h"
 
 namespace veritas {
 
@@ -28,6 +32,26 @@ class TruthFinderFusion : public FusionModel {
   std::string name() const override { return "truthfinder"; }
 
   double gamma() const { return gamma_; }
+
+  /// The per-source term tau(s) = -ln(1 - t(s)) of the clamped trust. A
+  /// claim's raw confidence sigma is the sum of its voters' terms
+  /// (GatherClaimScores with no per-vote constant).
+  static double SourceTerm(double trust) {
+    return -std::log(1.0 - ClampAccuracy(trust));
+  }
+
+  /// The item's distribution from its claims' raw confidences: the
+  /// dampened logistic 1 / (1 + exp(-gamma * sigma)) of each claim,
+  /// normalized over the item. `out` may alias `sigma`.
+  static void ConfidenceShares(double gamma, std::span<const double> sigma,
+                               std::span<double> out) {
+    double total = 0.0;
+    for (std::size_t k = 0; k < sigma.size(); ++k) {
+      out[k] = 1.0 / (1.0 + std::exp(-gamma * sigma[k]));
+      total += out[k];
+    }
+    for (double& p : out) p /= total;
+  }
 
  protected:
   FusionResult FuseCompiled(const CompiledDatabase& c, const PriorSet& priors,

@@ -8,15 +8,26 @@
 
 namespace veritas {
 
-std::vector<double> VotingFusion::VoteShares(const CompiledDatabase& c,
-                                             ItemId item) {
+namespace {
+
+// Eq. (5) into `shares`: the item's vote counts, normalized.
+void WriteVoteShares(const CompiledDatabase& c, ItemId item,
+                     std::span<double> shares) {
   const std::uint32_t g = c.claim_offset(item);
-  std::vector<double> counts(c.item_num_claims(item), 0.0);
-  for (ClaimIndex k = 0; k < counts.size(); ++k) {
-    counts[k] = static_cast<double>(c.claim_sources_end(g + k) -
+  for (ClaimIndex k = 0; k < shares.size(); ++k) {
+    shares[k] = static_cast<double>(c.claim_sources_end(g + k) -
                                     c.claim_sources_begin(g + k));
   }
-  return Normalize(counts);
+  NormalizeInPlace(shares);
+}
+
+}  // namespace
+
+std::vector<double> VotingFusion::VoteShares(const CompiledDatabase& c,
+                                             ItemId item) {
+  std::vector<double> shares(c.item_num_claims(item));
+  WriteVoteShares(c, item, shares);
+  return shares;
 }
 
 FusionResult VotingFusion::FuseCompiled(const CompiledDatabase& c,
@@ -28,24 +39,22 @@ FusionResult VotingFusion::FuseCompiled(const CompiledDatabase& c,
       MetricsRegistry::Global().GetCounter("fusion.voting.fuse_calls");
   fuse_calls->Add(1);
   FusionResult result(c, opts.initial_accuracy);
-  bool cancelled = false;
   for (ItemId i = 0; i < c.num_items(); ++i) {
-    // Single-pass model, so the hard-stop poll sits in the item loop
-    // (every 256 items — one relaxed load, invisible next to the
-    // per-item allocations).
-    if ((i & 0xFFu) == 0 && HardStopRequested(opts.cancel)) {
-      cancelled = true;
-      break;
+    const std::span<double> probs = result.mutable_item_probs(i);
+    if (priors.Has(i)) {
+      const std::vector<double>& prior = priors.Get(i);
+      std::copy(prior.begin(), prior.end(), probs.begin());
+    } else {
+      WriteVoteShares(c, i, probs);
     }
-    const std::vector<double> probs =
-        priors.Has(i) ? priors.Get(i) : VoteShares(c, i);
-    std::copy(probs.begin(), probs.end(), result.mutable_item_probs(i).begin());
   }
   // Clamped like the iterative models so downstream odds ratios stay
   // finite when a strategy consumes these accuracies.
   UpdateMeanVoteAccuracies(c, result.probs(), result.mutable_accuracies());
   result.set_iterations(1);
-  result.set_converged(!cancelled);
+  // The single pass always completes; a hard stop is still reported, as the
+  // iterative models report their partial runs.
+  result.set_converged(!HardStopRequested(opts.cancel));
   return result;
 }
 

@@ -13,6 +13,11 @@ namespace net {
 
 namespace {
 
+/// A boolean field's value. Returning a std::string (not assigning a
+/// literal into the map) also keeps GCC 12's -O3 -Wrestrict false positive
+/// out of the field assignments.
+std::string Flag(bool on) { return on ? "1" : "0"; }
+
 /// The structured view of a terminal SessionReport a client needs to decide
 /// completed / typed-error / resubmit. Times travel with fixed precision —
 /// they are diagnostics, not inputs to any bit-exactness check.
@@ -20,8 +25,8 @@ void FillReportFields(const SessionReport& report, NetResponse* response) {
   response->fields["outcome"] = SessionOutcomeName(report.outcome);
   response->fields["session_code"] = StatusCodeName(report.status.code());
   response->fields["session_message"] = report.status.message();
-  response->fields["resumed"] = report.resumed ? "1" : "0";
-  response->fields["recovered"] = report.recovered ? "1" : "0";
+  response->fields["resumed"] = Flag(report.resumed);
+  response->fields["recovered"] = Flag(report.recovered);
   response->fields["num_validated"] = std::to_string(report.num_validated);
   response->fields["rounds"] = std::to_string(report.rounds);
   response->fields["queue_wait_seconds"] =
@@ -189,8 +194,8 @@ NetResponse NetServer::Dispatch(const NetRequest& request) {
           std::to_string(supervisor_->running_sessions());
       response.fields["queued"] =
           std::to_string(supervisor_->queued_sessions());
-      response.fields["draining"] = draining() ? "1" : "0";
-      response.fields["ready"] = draining() ? "0" : "1";
+      response.fields["draining"] = Flag(draining());
+      response.fields["ready"] = Flag(!draining());
       return response;
     }
     case RequestType::kSubmit: {
@@ -200,13 +205,13 @@ NetResponse NetServer::Dispatch(const NetRequest& request) {
       // genuinely new (admit).
       if (supervisor_->IsActive(request.request_id)) {
         response.fields["state"] = "active";
-        response.fields["deduped"] = "1";
+        response.fields["deduped"] = Flag(true);
         return response;
       }
       SessionReport report;
       if (supervisor_->FindReport(request.request_id, &report)) {
         response.fields["state"] = "done";
-        response.fields["deduped"] = "1";
+        response.fields["deduped"] = Flag(true);
         FillReportFields(report, &response);
         return response;
       }
@@ -221,7 +226,7 @@ NetResponse NetServer::Dispatch(const NetRequest& request) {
       if (admitted.code() == StatusCode::kInvalidArgument &&
           supervisor_->IsActive(request.request_id)) {
         response.fields["state"] = "active";
-        response.fields["deduped"] = "1";
+        response.fields["deduped"] = Flag(true);
         return response;
       }
       response.status = admitted;  // Typed shed / drain / validation error.
@@ -249,7 +254,7 @@ NetResponse NetServer::Dispatch(const NetRequest& request) {
     }
     case RequestType::kDrain: {
       RequestDrain();
-      response.fields["draining"] = "1";
+      response.fields["draining"] = Flag(true);
       return response;
     }
   }

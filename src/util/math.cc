@@ -42,33 +42,35 @@ double LogSumExp(const std::vector<double>& xs) {
   return m + std::log(sum);
 }
 
-std::vector<double> SoftmaxFromLogScores(const std::vector<double>& scores) {
-  std::vector<double> out;
-  if (scores.empty()) return out;
-  const double lse = LogSumExp(scores);
-  out.reserve(scores.size());
-  for (double s : scores) out.push_back(std::exp(s - lse));
-  return out;
+void SoftmaxInPlace(std::span<double> x) {
+  if (x.empty()) return;
+  // LogSumExp's arithmetic, on the span.
+  double m = x[0];
+  for (double v : x) {
+    if (v > m) m = v;
+  }
+  double lse = m;
+  if (std::isfinite(m)) {
+    double sum = 0.0;
+    for (double v : x) sum += std::exp(v - m);
+    lse = m + std::log(sum);
+  }
+  for (double& v : x) v = std::exp(v - lse);
 }
 
-std::vector<double> Normalize(const std::vector<double>& weights) {
-  std::vector<double> out(weights.size(), 0.0);
+void NormalizeInPlace(std::span<double> weights) {
+  if (weights.empty()) return;
   const auto usable = [](double w) { return std::isfinite(w) && w > 0.0; };
   double sum = 0.0;
   for (double w : weights) {
     if (usable(w)) sum += w;
   }
   if (sum <= 0.0 || !std::isfinite(sum)) {
-    if (!out.empty()) {
-      const double u = 1.0 / static_cast<double>(out.size());
-      std::fill(out.begin(), out.end(), u);
-    }
-    return out;
+    const double u = 1.0 / static_cast<double>(weights.size());
+    std::fill(weights.begin(), weights.end(), u);
+    return;
   }
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    out[i] = usable(weights[i]) ? weights[i] / sum : 0.0;
-  }
-  return out;
+  for (double& w : weights) w = usable(w) ? w / sum : 0.0;
 }
 
 Status CheckFinite(const std::vector<double>& values, const char* what) {

@@ -46,14 +46,15 @@ double MaxEntropy(std::size_t n);
 /// log(sum_i exp(x_i)) computed stably. Empty input yields -inf.
 double LogSumExp(const std::vector<double>& xs);
 
-/// Normalized softmax of log-scores: out_i = exp(x_i) / sum_j exp(x_j).
-/// Stable for widely spread scores. Empty input yields empty output.
-std::vector<double> SoftmaxFromLogScores(const std::vector<double>& scores);
+/// Normalized softmax of log-scores, in place: x_i <- exp(x_i - LSE(x)),
+/// with LogSumExp's max shift. Stable for widely spread scores; allocation
+/// free, for the per-item loops of the fusion models.
+void SoftmaxInPlace(std::span<double> x);
 
-/// Normalizes a non-negative vector to sum to 1. All-zero input becomes the
-/// uniform distribution. Negative and non-finite weights are treated as 0 so
-/// a single NaN/Inf cannot poison the whole distribution.
-std::vector<double> Normalize(const std::vector<double>& weights);
+/// Normalizes non-negative weights to sum to 1, in place. All-zero input
+/// becomes the uniform distribution. Negative and non-finite weights are
+/// treated as 0 so a single NaN/Inf cannot poison the whole distribution.
+void NormalizeInPlace(std::span<double> weights);
 
 /// Internal error when any value is NaN or +/-Inf; `what` names the vector
 /// in the message (e.g. "prior distribution"). Use this at trust boundaries

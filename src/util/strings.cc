@@ -54,4 +54,10 @@ std::string FormatDouble(double value, int precision) {
   return std::string(buf);
 }
 
+std::string NumberedName(std::string_view prefix, long long n) {
+  std::string name(prefix);
+  name += std::to_string(n);
+  return name;
+}
+
 }  // namespace veritas

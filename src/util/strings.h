@@ -28,6 +28,11 @@ std::string ToLower(std::string_view text);
 /// std::to_string).
 std::string FormatDouble(double value, int precision);
 
+/// `prefix` followed by the decimal `n` ("s", 3 -> "s3"). Built by
+/// appending: GCC 12 at -O3 reports false -Wrestrict overlaps in the
+/// inlined `"s" + std::to_string(n)`.
+std::string NumberedName(std::string_view prefix, long long n);
+
 }  // namespace veritas
 
 #endif  // VERITAS_UTIL_STRINGS_H_

@@ -13,6 +13,7 @@
 #include "fusion/fusion_factory.h"
 #include "model/database_builder.h"
 #include "util/math.h"
+#include "util/strings.h"
 #include "test_dir.h"
 
 namespace veritas {
@@ -74,9 +75,9 @@ TEST(EdgeCaseTest, AllSourcesAgreeEverywhere) {
   DatabaseBuilder builder;
   for (int s = 0; s < 5; ++s) {
     for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(builder.AddObservation("s" + std::to_string(s),
-                                         "o" + std::to_string(i),
-                                         "v" + std::to_string(i)).ok());
+      ASSERT_TRUE(builder.AddObservation(NumberedName("s", s),
+                                         NumberedName("o", i),
+                                         NumberedName("v", i)).ok());
     }
   }
   const Database db = builder.Build();

@@ -9,6 +9,7 @@
 #include "fusion/accu.h"
 #include "model/database_builder.h"
 #include "util/stats.h"
+#include "util/strings.h"
 
 namespace veritas {
 namespace {
@@ -22,10 +23,9 @@ namespace {
 Database CopierClique() {
   DatabaseBuilder builder;
   for (int i = 0; i < 60; ++i) {
-    const std::string item = "o" + std::to_string(i);
-    const std::string truth = "t" + std::to_string(i);
-    const std::string parent_value =
-        i < 8 ? "lie" + std::to_string(i) : truth;
+    const std::string item = NumberedName("o", i);
+    const std::string truth = NumberedName("t", i);
+    const std::string parent_value = i < 8 ? NumberedName("lie", i) : truth;
     EXPECT_TRUE(builder.AddObservation("parent", item, parent_value).ok());
     EXPECT_TRUE(builder.AddObservation("copy1", item, parent_value).ok());
     EXPECT_TRUE(builder.AddObservation("copy2", item, parent_value).ok());
@@ -47,7 +47,8 @@ Database CopierClique() {
 GroundTruth CliqueTruth(const Database& db) {
   GroundTruth truth(db);
   for (ItemId i = 0; i < db.num_items(); ++i) {
-    const std::string value = "t" + db.item(i).name.substr(1);
+    std::string value = db.item(i).name;  // "o<i>" -> "t<i>".
+    value[0] = 't';
     EXPECT_TRUE(truth.SetByValue(db, db.item(i).name, value).ok());
   }
   return truth;

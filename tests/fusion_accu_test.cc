@@ -184,8 +184,9 @@ TEST(AccuFusionTest, ClaimLogScoresMatchSoftmax) {
   const FusionResult r = model.Fuse(db, FusionOptions{});
   for (ItemId i = 0; i < db.num_items(); ++i) {
     if (db.num_claims(i) < 2) continue;
-    const auto scores = AccuFusion::ClaimLogScores(compiled, i, r.accuracies());
-    const auto probs = SoftmaxFromLogScores(scores);
+    std::vector<double> probs =
+        AccuFusion::ClaimLogScores(compiled, i, r.accuracies());
+    SoftmaxInPlace(probs);
     for (ClaimIndex k = 0; k < db.num_claims(i); ++k) {
       EXPECT_NEAR(probs[k], r.prob(i, k), 1e-9);
     }

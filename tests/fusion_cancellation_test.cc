@@ -43,6 +43,24 @@ TEST_P(FusionCancellationTest, HardStopBailsFiniteAndNonConverged) {
   EXPECT_EQ(result.num_items(), data_.db.num_items());
 }
 
+TEST_P(FusionCancellationTest, HardStopLeavesADistributionPerItem) {
+  // A hard stop seen before the first iteration still runs one claim pass,
+  // so no item is left all-zero.
+  auto model = MakeFusionModel(GetParam());
+  ASSERT_TRUE(model.ok()) << model.status();
+  CancellationToken token;
+  token.RequestHardStop();
+  FusionOptions opts;
+  opts.cancel = &token;
+  const FusionResult result = (*model)->Fuse(data_.db, PriorSet(), opts);
+  EXPECT_FALSE(result.converged());
+  for (ItemId i = 0; i < result.num_items(); ++i) {
+    double sum = 0.0;
+    for (double p : result.item_probs(i)) sum += p;
+    EXPECT_NEAR(sum, 1.0, 1e-12) << "item " << i;
+  }
+}
+
 TEST_P(FusionCancellationTest, GracefulStopIsInvisibleToFusion) {
   auto model = MakeFusionModel(GetParam());
   ASSERT_TRUE(model.ok()) << model.status();

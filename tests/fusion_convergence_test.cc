@@ -16,6 +16,7 @@
 #include "model/compiled_database.h"
 #include "model/database_builder.h"
 #include "model/streaming_database.h"
+#include "obs/metrics.h"
 
 namespace veritas {
 namespace {
@@ -32,19 +33,6 @@ TEST(ConvergenceTest, TighterToleranceNeedsMoreIterations) {
   ASSERT_TRUE(a.converged());
   ASSERT_TRUE(b.converged());
   EXPECT_LE(a.iterations(), b.iterations());
-}
-
-TEST(ConvergenceTest, IterationCapIsExact) {
-  const Database db = MakeMovieDatabase();
-  AccuFusion model;
-  for (std::size_t cap : {1u, 2u, 3u, 7u}) {
-    FusionOptions opts;
-    opts.max_iterations = cap;
-    opts.tolerance = 0.0;  // Never satisfied.
-    const FusionResult r = model.Fuse(db, opts);
-    EXPECT_EQ(r.iterations(), cap);
-    EXPECT_FALSE(r.converged());
-  }
 }
 
 TEST(ConvergenceTest, PinnedEverythingConvergesInstantly) {
@@ -101,7 +89,8 @@ TEST(ConvergenceTest, FinalProbabilitiesConsistentWithFinalAccuracies) {
   for (ItemId i = 0; i < db.num_items(); ++i) {
     const auto probs = AccuFusion::ClaimProbabilities(compiled, i, r.accuracies());
     for (ClaimIndex k = 0; k < db.num_claims(i); ++k) {
-      EXPECT_NEAR(r.prob(i, k), probs[k], 1e-12);
+      // Same term, gather and softmax as Fuse: equal bit for bit.
+      EXPECT_EQ(r.prob(i, k), probs[k]);
     }
   }
 }
@@ -127,6 +116,49 @@ TEST_P(IterativeModelConvergenceTest, ConvergesOnEasyData) {
   EXPECT_LE(r.iterations(), FusionOptions{}.max_iterations);
 }
 
+TEST_P(IterativeModelConvergenceTest, IterationCapIsExact) {
+  const Database db = MakeMovieDatabase();
+  auto model = MakeFusionModel(GetParam());
+  ASSERT_TRUE(model.ok());
+  for (std::size_t cap : {0u, 1u, 2u, 3u, 7u}) {
+    FusionOptions opts;
+    opts.max_iterations = cap;
+    opts.tolerance = 0.0;  // Never satisfied.
+    const FusionResult r = (*model)->Fuse(db, PriorSet(), opts);
+    EXPECT_EQ(r.iterations(), cap) << GetParam();
+    EXPECT_FALSE(r.converged()) << GetParam();
+    // Even a cap of 0 leaves a distribution per item.
+    for (ItemId i = 0; i < r.num_items(); ++i) {
+      double sum = 0.0;
+      for (double p : r.item_probs(i)) sum += p;
+      EXPECT_NEAR(sum, 1.0, 1e-12) << GetParam() << " cap " << cap;
+    }
+  }
+}
+
+TEST_P(IterativeModelConvergenceTest, FuseAdvancesItsInstruments) {
+  const Database db = MakeMovieDatabase();
+  auto model = MakeFusionModel(GetParam());
+  ASSERT_TRUE(model.ok());
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  std::string prefix = "fusion.";
+  prefix += GetParam();
+  const Counter* calls = registry.GetCounter(prefix + ".fuse_calls");
+  const Counter* nonconverged = registry.GetCounter(prefix + ".nonconverged");
+  const Histogram* iterations = registry.GetHistogram(
+      prefix + ".iterations", MetricsRegistry::CountEdges());
+  const std::uint64_t calls_before = calls->value();
+  const std::uint64_t nonconverged_before = nonconverged->value();
+  const std::uint64_t iterations_before = iterations->count();
+  FusionOptions opts;
+  opts.max_iterations = 2;
+  opts.tolerance = 0.0;  // Never satisfied.
+  (*model)->Fuse(db, PriorSet(), opts);
+  EXPECT_EQ(calls->value(), calls_before + 1);
+  EXPECT_EQ(nonconverged->value(), nonconverged_before + 1);
+  EXPECT_EQ(iterations->count(), iterations_before + 1);
+}
+
 INSTANTIATE_TEST_SUITE_P(Models, IterativeModelConvergenceTest,
                          ::testing::Values("accu", "accu_copy",
                                            "truthfinder", "lca",
@@ -135,7 +167,7 @@ INSTANTIATE_TEST_SUITE_P(Models, IterativeModelConvergenceTest,
 // A warm result from before a streaming append has fewer sources than the
 // database. Every model that reads a warm start must treat it exactly like
 // the explicitly extended result: the old accuracies, with the appended
-// sources at the initial accuracy (WarmStartAccuracies).
+// sources at the initial accuracy (FixedPointDriver).
 class WarmStartAfterAppendTest
     : public ::testing::TestWithParam<std::string> {};
 

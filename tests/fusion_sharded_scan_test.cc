@@ -25,6 +25,7 @@
 #include "model/compiled_database.h"
 #include "model/database_builder.h"
 #include "model/streaming_database.h"
+#include "util/strings.h"
 
 namespace veritas {
 namespace {
@@ -39,10 +40,10 @@ struct MergeFixture {
     // 8 contested items, 2 claims each; per-item vote counts descend with
     // the item id so LPT assignment is exercised.
     for (int i = 0; i < 8; ++i) {
-      const std::string item = "i" + std::to_string(i);
+      const std::string item = NumberedName("i", i);
       for (int v = 0; v < 9 - i; ++v) {
         EXPECT_TRUE(
-            builder.AddObservation("s" + std::to_string(v), item, "a").ok());
+            builder.AddObservation(NumberedName("s", v), item, "a").ok());
       }
       EXPECT_TRUE(builder.AddObservation("sx", item, "b").ok());
     }
@@ -244,7 +245,7 @@ TEST(ShardedSelectionTest, MoreShardsThanItems) {
   // skipped cleanly by both the confined scan and the merge.
   DatabaseBuilder builder;
   for (int i = 0; i < 3; ++i) {
-    const std::string item = "i" + std::to_string(i);
+    const std::string item = NumberedName("i", i);
     ASSERT_TRUE(builder.AddObservation("s0", item, "a").ok());
     ASSERT_TRUE(builder.AddObservation("s1", item, "a").ok());
     ASSERT_TRUE(builder.AddObservation("s2", item, "b").ok());

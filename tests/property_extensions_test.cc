@@ -14,6 +14,7 @@
 #include "util/math.h"
 #include "util/csv.h"
 #include "util/stats.h"
+#include "util/strings.h"
 #include "test_dir.h"
 
 namespace veritas {
@@ -37,8 +38,8 @@ Database NumericJitterDatabase(std::uint64_t seed) {
       const int value =
           outlier ? base + 500 : base + static_cast<int>(rng.UniformIndex(9)) - 4;
       const Status st =
-          builder.AddObservation("s" + std::to_string(s),
-                                 "item" + std::to_string(i),
+          builder.AddObservation(NumberedName("s", s),
+                                 NumberedName("item", i),
                                  std::to_string(value));
       EXPECT_TRUE(st.ok());
     }

@@ -15,6 +15,7 @@
 #include "data/synthetic.h"
 #include "obs/metrics.h"
 #include "serve/session_supervisor.h"
+#include "util/strings.h"
 #include "test_dir.h"
 
 namespace veritas {
@@ -95,7 +96,7 @@ TEST_F(SupervisorTest, ShedsPastTheQueueDepthWithATypedStatus) {
   ASSERT_TRUE(supervisor.Submit(plug).ok());
   std::size_t ok = 0, shed = 0;
   for (int i = 0; i < 6; ++i) {
-    const Status s = supervisor.Submit(QuickSpec("q" + std::to_string(i)));
+    const Status s = supervisor.Submit(QuickSpec(NumberedName("q", i)));
     if (s.ok()) {
       ++ok;
     } else {

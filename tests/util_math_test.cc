@@ -1,6 +1,8 @@
 #include "util/math.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -97,53 +99,125 @@ TEST(LogSumExpTest, StableForVerySmallScores) {
   EXPECT_NEAR(lse, -1000.0 + std::log(2.0), 1e-9);
 }
 
+// The in-place helpers, applied to a copy.
+std::vector<double> Softmax(std::vector<double> x) {
+  SoftmaxInPlace(x);
+  return x;
+}
+
+std::vector<double> Normalized(std::vector<double> w) {
+  NormalizeInPlace(w);
+  return w;
+}
+
 TEST(SoftmaxTest, UniformScores) {
-  const auto p = SoftmaxFromLogScores({1.0, 1.0, 1.0, 1.0});
+  const auto p = Softmax({1.0, 1.0, 1.0, 1.0});
   ASSERT_EQ(p.size(), 4u);
   for (double x : p) EXPECT_NEAR(x, 0.25, 1e-12);
 }
 
 TEST(SoftmaxTest, SumsToOne) {
-  const auto p = SoftmaxFromLogScores({0.2, -3.0, 5.5, 1.0});
+  const auto p = Softmax({0.2, -3.0, 5.5, 1.0});
   double sum = 0.0;
   for (double x : p) sum += x;
   EXPECT_NEAR(sum, 1.0, 1e-12);
 }
 
 TEST(SoftmaxTest, MonotoneInScores) {
-  const auto p = SoftmaxFromLogScores({1.0, 2.0, 3.0});
+  const auto p = Softmax({1.0, 2.0, 3.0});
   EXPECT_LT(p[0], p[1]);
   EXPECT_LT(p[1], p[2]);
 }
 
 TEST(SoftmaxTest, ExtremeSpreadSaturates) {
-  const auto p = SoftmaxFromLogScores({0.0, 800.0});
+  const auto p = Softmax({0.0, 800.0});
   EXPECT_NEAR(p[0], 0.0, 1e-12);
   EXPECT_NEAR(p[1], 1.0, 1e-12);
 }
 
 TEST(SoftmaxTest, EmptyInput) {
-  EXPECT_TRUE(SoftmaxFromLogScores({}).empty());
+  EXPECT_TRUE(Softmax({}).empty());
 }
 
 TEST(NormalizeTest, Basic) {
-  const auto p = Normalize({1.0, 3.0});
+  const auto p = Normalized({1.0, 3.0});
   EXPECT_NEAR(p[0], 0.25, 1e-12);
   EXPECT_NEAR(p[1], 0.75, 1e-12);
 }
 
 TEST(NormalizeTest, AllZeroBecomesUniform) {
-  const auto p = Normalize({0.0, 0.0, 0.0});
+  const auto p = Normalized({0.0, 0.0, 0.0});
   for (double x : p) EXPECT_NEAR(x, 1.0 / 3.0, 1e-12);
 }
 
 TEST(NormalizeTest, NegativeWeightsTreatedAsZero) {
-  const auto p = Normalize({-5.0, 1.0});
+  const auto p = Normalized({-5.0, 1.0});
   EXPECT_DOUBLE_EQ(p[0], 0.0);
   EXPECT_DOUBLE_EQ(p[1], 1.0);
 }
 
-TEST(NormalizeTest, EmptyInput) { EXPECT_TRUE(Normalize({}).empty()); }
+TEST(NormalizeTest, EmptyInput) { EXPECT_TRUE(Normalized({}).empty()); }
+
+// Bit patterns, so NaN outputs compare equal to themselves.
+std::vector<std::uint64_t> Bits(const std::vector<double>& xs) {
+  std::vector<std::uint64_t> bits;
+  for (double x : xs) bits.push_back(std::bit_cast<std::uint64_t>(x));
+  return bits;
+}
+
+// The per-item fusion loops call the in-place helpers; they keep the bits
+// of the vector forms they replaced: exp(s - LogSumExp(s)), and weights over
+// their usable sum with a uniform fallback.
+TEST(SoftmaxInPlaceTest, BitIdenticalToExpMinusLogSumExp) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> cases = {
+      {1.0, 1.0, 1.0, 1.0}, {0.2, -3.0, 5.5, 1.0}, {0.0, 800.0},
+      {-1000.0, -1000.0},   {3.0},                 {-inf, 0.0, 2.0},
+      {inf, 0.0},           {}};
+  for (const std::vector<double>& scores : cases) {
+    const double lse = LogSumExp(scores);
+    std::vector<double> reference;
+    for (double s : scores) reference.push_back(std::exp(s - lse));
+    EXPECT_EQ(Bits(Softmax(scores)), Bits(reference));
+  }
+}
+
+TEST(NormalizeInPlaceTest, BitIdenticalToUsableSumDivision) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> cases = {
+      {1.0, 3.0}, {0.1, 0.2, 0.7}, {nan, 1.0}, {inf, 1.0, -2.0, 0.5}, {}};
+  for (const std::vector<double>& weights : cases) {
+    const auto usable = [](double w) { return std::isfinite(w) && w > 0.0; };
+    double sum = 0.0;
+    for (double w : weights) {
+      if (usable(w)) sum += w;
+    }
+    std::vector<double> reference;
+    for (double w : weights) reference.push_back(usable(w) ? w / sum : 0.0);
+    EXPECT_EQ(Bits(Normalized(weights)), Bits(reference));
+  }
+}
+
+TEST(NormalizeInPlaceTest, UniformFallback) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // All-zero, all-negative and overflowing sums become uniform.
+  for (std::vector<double> w : {std::vector<double>{0.0, 0.0, 0.0, 0.0},
+                                std::vector<double>{-1.0, -2.0, 0.0, -4.0},
+                                std::vector<double>{1e308, 1e308, 1e308,
+                                                    1e308}}) {
+    NormalizeInPlace(w);
+    for (double x : w) EXPECT_EQ(x, 0.25);
+  }
+  // Unusable weights alone are uniform too; next to a usable one they get 0.
+  std::vector<double> only_bad = {nan, -inf};
+  NormalizeInPlace(only_bad);
+  EXPECT_EQ(only_bad, (std::vector<double>{0.5, 0.5}));
+  std::vector<double> mixed = {nan, 2.0, inf, -1.0};
+  NormalizeInPlace(mixed);
+  EXPECT_EQ(mixed, (std::vector<double>{0.0, 1.0, 0.0, 0.0}));
+}
 
 TEST(ArgMaxTest, FirstOccurrenceWins) {
   EXPECT_EQ(ArgMax(std::vector<double>{1.0, 3.0, 3.0, 2.0}), 1u);
@@ -168,7 +242,7 @@ TEST_P(SoftmaxPropertyTest, ValidDistribution) {
   const double magnitude = GetParam();
   const std::vector<double> scores = {-magnitude, 0.0, magnitude,
                                       magnitude / 2.0};
-  const auto p = SoftmaxFromLogScores(scores);
+  const auto p = Softmax(scores);
   double sum = 0.0;
   for (double x : p) {
     EXPECT_GE(x, 0.0);

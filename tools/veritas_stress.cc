@@ -33,6 +33,7 @@
 #include "serve/session_supervisor.h"
 #include "util/args.h"
 #include "util/rng.h"
+#include "util/strings.h"
 #include "util/timer.h"
 
 namespace veritas {
@@ -152,7 +153,7 @@ FleetConfig ParseFleetConfig(const ArgMap& args) {
 /// Session `i` of the fleet; `mix` in [0, 1) picks its chaos bucket.
 SessionSpec FleetSpec(const FleetConfig& config, long i, double mix) {
   SessionSpec spec;
-  spec.id = "s" + std::to_string(i);
+  spec.id = NumberedName("s", i);
   spec.strategy = config.strategy;
   spec.model = config.model;
   spec.max_validations = static_cast<std::size_t>(config.max_validations);
