@@ -137,12 +137,15 @@ INSTANTIATE_TEST_SUITE_P(
 // single-item rounds of a perfect-oracle Accu session on the long-tail
 // dataset. GUB, SequentialMEU and MEU without the delta engine fuse every
 // lookahead hypothesis as a pinned PriorSet; QBC replays a ranking cached
-// across rounds. A change to either path that moves one pick fails here.
+// across rounds; Approx-MEU and Approx-MEU_k score the differential
+// estimate, flat and through the sharded two-stage scan. A change to any of
+// these paths that moves one pick fails here.
 struct SelectionCase {
   const char* name;
   const char* strategy;
   bool use_delta;
   std::vector<ItemId> picks;
+  std::size_t shards = 1;
 
   friend std::ostream& operator<<(std::ostream& os, const SelectionCase& c) {
     return os << c.name;
@@ -163,6 +166,7 @@ TEST_P(StrategySelectionGoldenTest, PicksMatchPinnedSequence) {
   SessionOptions options;
   options.max_validations = 5;
   options.fusion.use_delta_fusion = c.use_delta;
+  options.fusion.shards = c.shards;
   FeedbackSession session(data.db, **model, strategy->get(), &oracle,
                           data.truth, options, /*rng=*/nullptr);
   const Result<SessionTrace> trace = session.Run();
@@ -183,7 +187,13 @@ INSTANTIATE_TEST_SUITE_P(
         SelectionCase{"sequential_meu", "meu2", true,
                       {135, 139, 199, 140, 106}},
         SelectionCase{"meu_no_delta", "meu", false, {135, 199, 139, 140, 176}},
-        SelectionCase{"qbc", "qbc", true, {27, 43, 76, 132, 139}}),
+        SelectionCase{"qbc", "qbc", true, {27, 43, 76, 132, 139}},
+        SelectionCase{"approx_meu", "approx_meu", true,
+                      {135, 199, 139, 140, 176}},
+        SelectionCase{"approx_meu_k10", "approx_meu_k:10", true,
+                      {139, 76, 106, 123, 196}},
+        SelectionCase{"approx_meu_shards3", "approx_meu", true,
+                      {135, 199, 139, 140, 176}, /*shards=*/3}),
     [](const ::testing::TestParamInfo<SelectionCase>& info) {
       return std::string(info.param.name);
     });
