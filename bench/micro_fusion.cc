@@ -55,6 +55,19 @@ void BM_AccuFuseWarmStart(benchmark::State& state) {
 }
 BENCHMARK(BM_AccuFuseWarmStart)->Arg(200)->Arg(1000)->Arg(4000);
 
+// AccuCopy: dependence rounds around an ordered-discount EM, whose claim
+// step visits every claim's voters best source first.
+void BM_AccuCopyFuse(benchmark::State& state) {
+  const SyntheticDataset data = MakeDataset(state.range(0));
+  auto model = MakeFusionModel("accu_copy");
+  FusionOptions opts;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize((*model)->Fuse(data.db, opts));
+  }
+  state.SetItemsProcessed(state.iterations() * data.db.num_items());
+}
+BENCHMARK(BM_AccuCopyFuse)->Arg(200)->Arg(1000);
+
 // The MEU inner loop: expected entropy of one hypothetical pin, computed
 // from a shared base state with O(frontier) scratch.
 void BM_MeuEntropyAfterPin(benchmark::State& state) {

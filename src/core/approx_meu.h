@@ -23,11 +23,28 @@
 // the *estimated* probabilities, and the item with the maximum expected
 // entropy reduction is selected.
 //
-// The kernel walks the session's compiled view (ctx.compiled, always set):
-// o_i's neighbours come from the item -> votes -> source -> votes walk of
-// the CSR, deduplicated by a per-lane stamp array, and the Eq. (9) deltas
-// live in flat per-source arrays, so scoring a candidate allocates nothing
-// once a lane's scratch has grown to the view.
+// The kernel walks the session's compiled view (ctx.compiled, always set)
+// once per candidate, source-major. Eq. (9) is linear in the validated claim
+// t: a voter s of o_i with claim c_s shifts by (1[c_s = t] - p_{c_s}) / N(s),
+// so each neighbour's g(v; t) = b(v) + e^t(v). One walk of the voters'
+// source -> votes rows accumulates the base b, shared by every t, into a
+// flat array by global claim id; each hypothesis t then walks only its own
+// voters' rows into one reused e array and re-scores just the neighbours
+// they reach. A neighbour no t-voter reaches keeps its base estimate, whose
+// entropy is computed once. The single walk's per-lane scratch is
+// O(num_items + num_claims) whatever |claims(i)| is and resets through the
+// neighbour and reached lists, so scoring a candidate allocates nothing
+// once a lane's scratch has grown to the view. A candidate whose neighbours
+// are so few (an impact filter, a small shard) that walking their votes once
+// per t is cheaper than the voters' rows runs the per-hypothesis body below.
+//
+// The single walk sums in another order than the per-hypothesis body it
+// replaced (one Eq. (9)/(10) pass per t over every neighbour's votes), so
+// its gains differ from that body's in the last bits. That body stays as
+// the canonical evaluator (CanonicalGains): the final selection re-scores
+// the candidates within the near-tie window of the k-th best gain with it
+// (CandidateScan::SelectTopK), so selections are the canonical body's
+// whatever the fast path's summation order.
 #ifndef VERITAS_CORE_APPROX_MEU_H_
 #define VERITAS_CORE_APPROX_MEU_H_
 
@@ -94,11 +111,13 @@ class ApproxMeuStrategy : public Strategy {
   /// Expected total entropy after validating `item`, under the differential
   /// estimate (the EU* of Table 9). When `impact_filter` is non-null, only
   /// neighbour items j with (*impact_filter)[j] participate in the impact
-  /// computation (used by Approx-MEU_k, §4.3). Runs the same per-candidate
-  /// body as ScoreCandidates.
+  /// computation (used by Approx-MEU_k, §4.3); a non-null `confine` keeps
+  /// the impact inside item's shard. Runs the single-walk body of
+  /// ScoreCandidates.
   static double ExpectedEntropyAfterValidation(
       const StrategyContext& ctx, ItemId item,
-      const std::vector<bool>* impact_filter);
+      const std::vector<bool>* impact_filter,
+      const ShardPartition* confine = nullptr);
 
   /// Scores Delta-EU (Eq. 13 gain) for each candidate; shared with the
   /// hybrid strategy. With a non-null `scan` the candidates fan out over its
@@ -112,6 +131,21 @@ class ApproxMeuStrategy : public Strategy {
       const StrategyContext& ctx, const std::vector<ItemId>& candidates,
       const std::vector<bool>* impact_filter, CandidateScan* scan = nullptr,
       const ShardPartition* confine = nullptr);
+
+  /// Delta-EU of every candidate from the canonical body, serially: the
+  /// reference the single walk and the near-tie step are checked against.
+  static std::vector<double> CanonicalGains(
+      const StrategyContext& ctx, const std::vector<ItemId>& candidates,
+      const std::vector<bool>* impact_filter);
+
+  /// The top `k` of `candidates` by ScoreCandidates' `gains` (same
+  /// `impact_filter`), with the candidates in the near-tie window re-scored
+  /// by the canonical body (CandidateScan::SelectTopK).
+  static std::vector<ItemId> SelectTopK(const StrategyContext& ctx,
+                                        const std::vector<ItemId>& candidates,
+                                        const std::vector<double>& gains,
+                                        std::size_t k,
+                                        const std::vector<bool>* impact_filter);
 
  private:
   CandidateScan scan_;

@@ -1,5 +1,10 @@
 #include "core/candidate_scan.h"
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+
+#include "obs/metrics.h"
 #include "util/cancellation.h"
 
 namespace veritas {
@@ -26,6 +31,40 @@ std::vector<double> CandidateScan::Gains(
     pool_->ParallelFor(n, kChunkSize, body);
   }
   return gains;
+}
+
+std::vector<ItemId> CandidateScan::SelectTopK(
+    const std::vector<ItemId>& candidates, const std::vector<double>& gains,
+    std::size_t k, const CanonicalScorer& canonical,
+    const CancellationToken* cancel) {
+  static Counter* rescored =
+      MetricsRegistry::Global().GetCounter("scan.near_tie_rescored");
+  const std::size_t take = std::min(k, candidates.size());
+  if (!canonical || take == 0 || HardStopRequested(cancel)) {
+    return TopKByScore(candidates, gains, k);
+  }
+  std::vector<double> sorted = gains;
+  std::nth_element(sorted.begin(), sorted.begin() + (take - 1), sorted.end(),
+                   std::greater<>());
+  const double g_k = sorted[take - 1];
+  const double cutoff =
+      g_k - kNearTieRel * std::max(std::fabs(g_k), kNearTieFloor);
+  std::vector<std::size_t> window;
+  for (std::size_t idx = 0; idx < candidates.size(); ++idx) {
+    if (gains[idx] >= cutoff) window.push_back(idx);
+  }
+  if (window.size() <= 1) return TopKByScore(candidates, gains, k);
+
+  rescored->Add(window.size());
+  std::vector<ItemId> items;
+  std::vector<double> canonical_gains;
+  items.reserve(window.size());
+  canonical_gains.reserve(window.size());
+  for (std::size_t idx : window) {
+    items.push_back(candidates[idx]);
+    canonical_gains.push_back(canonical(idx));
+  }
+  return TopKByScore(items, canonical_gains, k);
 }
 
 }  // namespace veritas

@@ -79,7 +79,8 @@ std::vector<ItemId> ApproxMeuKStrategy::SelectBatch(const StrategyContext& ctx,
   for (ItemId i : candidates) impact_filter[i] = true;
   const std::vector<double> gains = ApproxMeuStrategy::ScoreCandidates(
       ctx, candidates, &impact_filter, &scan_);
-  return TopKByScore(candidates, gains, batch);
+  return ApproxMeuStrategy::SelectTopK(ctx, candidates, gains, batch,
+                                       &impact_filter);
 }
 
 }  // namespace veritas

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <span>
 
 #include "fusion/accu.h"
 #include "util/math.h"
@@ -142,9 +144,12 @@ FusionResult AccuCopyFusion::FuseCompiled(const CompiledDatabase& c,
   const FusionResult& result = driver.result();
   std::vector<double>& accuracies = driver.accuracies();
   const std::vector<char>& fixed = driver.fixed();
-  const std::vector<SourceId>& claim_sources = c.claim_sources();
-  // Scratch of one claim's scoring, reused across claims and iterations.
-  std::vector<SourceId> ordered;
+  // Scratch of the claim step, reused across claims and iterations: the
+  // sources ranked by (accuracy desc, id asc), every claim's voters in that
+  // order (laid out like claim_sources()), and one claim's weights.
+  std::vector<SourceId> ranking(n_sources);
+  std::vector<SourceId> ranked_voters(c.claim_sources().size());
+  std::vector<std::uint32_t> fill(c.num_claims());
   std::vector<double> independence_weight;
 
   // Eq. (1) with discounted votes. Ordered discounting (Dong et al.): count
@@ -153,19 +158,30 @@ FusionResult AccuCopyFusion::FuseCompiled(const CompiledDatabase& c,
   // contributes barely more than its best member.
   const auto update_probabilities = [&](const std::vector<double>& acc,
                                         std::span<double> probs) {
+    // One ranking per iteration; walking the sources in rank order appends
+    // each claim's voters already sorted.
+    std::iota(ranking.begin(), ranking.end(), SourceId{0});
+    std::sort(ranking.begin(), ranking.end(), [&](SourceId x, SourceId y) {
+      if (acc[x] != acc[y]) return acc[x] > acc[y];
+      return x < y;
+    });
+    for (std::uint32_t g = 0; g < c.num_claims(); ++g) {
+      fill[g] = c.claim_sources_begin(g);
+    }
+    for (SourceId s : ranking) {
+      c.ForEachSourceVote(s, [&](ItemId, std::uint32_t g) {
+        ranked_voters[fill[g]++] = s;
+      });
+    }
     for (ItemId i = 0; i < c.num_items(); ++i) {
       if (fixed[i]) continue;
       const std::uint32_t g = c.claim_offset(i);
       const std::size_t n = c.item_num_claims(i);
       const double false_values = static_cast<double>(n) - 1.0;
       for (std::size_t k = 0; k < n; ++k) {
-        ordered.assign(claim_sources.begin() + c.claim_sources_begin(g + k),
-                       claim_sources.begin() + c.claim_sources_end(g + k));
-        std::sort(ordered.begin(), ordered.end(),
-                  [&](SourceId x, SourceId y) {
-                    if (acc[x] != acc[y]) return acc[x] > acc[y];
-                    return x < y;
-                  });
+        const std::span<const SourceId> ordered(
+            ranked_voters.data() + c.claim_sources_begin(g + k),
+            ranked_voters.data() + c.claim_sources_end(g + k));
         independence_weight.assign(ordered.size(), 1.0);
         for (std::size_t x = 1; x < ordered.size(); ++x) {
           for (std::size_t y = 0; y < x; ++y) {

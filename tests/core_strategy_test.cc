@@ -1,15 +1,21 @@
 // Tests of the Strategy base helpers: candidate enumeration, top-k
-// selection, vote entropy, and the Random baseline.
+// selection (and CandidateScan's near-tie step), vote entropy, and the
+// Random baseline.
 #include "core/strategy.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "core/candidate_scan.h"
 #include "core/random_strategy.h"
 #include "data/example_data.h"
 #include "fusion/accu.h"
+#include "obs/metrics.h"
+#include "util/cancellation.h"
+#include "util/rng.h"
 
 namespace veritas {
 namespace {
@@ -92,6 +98,89 @@ TEST(TopKByScoreTest, KLargerThanInput) {
 
 TEST(TopKByScoreTest, EmptyInput) {
   EXPECT_TRUE(TopKByScore({}, {}, 3).empty());
+}
+
+// CandidateScan::SelectTopK's near-tie step, on gains built to tie.
+TEST(NearTieSelectTest, CanonicalGainBreaksAFastNearTie) {
+  // 7 and 3 tie canonically; the fast path puts 7 ahead by 2e-12.
+  const std::vector<ItemId> items = {7, 3, 9, 5};
+  const std::vector<double> canonical = {0.5, 0.5, 0.2, 0.499};
+  const std::vector<double> fast = {0.5 + 1e-12, 0.5 - 1e-12, 0.2, 0.499};
+  const CandidateScan::CanonicalScorer rescore = [&](std::size_t idx) {
+    return canonical[idx];
+  };
+  Counter* rescored =
+      MetricsRegistry::Global().GetCounter("scan.near_tie_rescored");
+  const std::uint64_t before = rescored->value();
+  EXPECT_EQ(TopKByScore(items, fast, 1), (std::vector<ItemId>{7}));
+  EXPECT_EQ(CandidateScan::SelectTopK(items, fast, 1, rescore, nullptr),
+            (std::vector<ItemId>{3}));
+  EXPECT_EQ(CandidateScan::SelectTopK(items, fast, 2, rescore, nullptr),
+            (std::vector<ItemId>{3, 7}));
+  EXPECT_EQ(rescored->value(), before + 4);
+  // Without a canonical scorer the step is plain TopKByScore.
+  EXPECT_EQ(CandidateScan::SelectTopK(items, fast, 1, nullptr, nullptr),
+            (std::vector<ItemId>{7}));
+}
+
+TEST(NearTieSelectTest, LoneLeaderAndHardStopSkipTheCanonicalScorer) {
+  const std::vector<ItemId> items = {4, 8, 2};
+  const std::vector<double> gains = {0.3, 0.9, 0.6};
+  std::size_t calls = 0;
+  const CandidateScan::CanonicalScorer rescore = [&](std::size_t idx) {
+    ++calls;
+    return gains[idx];
+  };
+  EXPECT_EQ(CandidateScan::SelectTopK(items, gains, 1, rescore, nullptr),
+            (std::vector<ItemId>{8}));
+  EXPECT_EQ(calls, 0u);
+  // k = 2 puts the 2nd and the 1st best in the window: both re-scored.
+  EXPECT_EQ(CandidateScan::SelectTopK(items, gains, 2, rescore, nullptr),
+            (std::vector<ItemId>{8, 2}));
+  EXPECT_EQ(calls, 2u);
+  // A hard stop leaves the (discarded) round's gains unscored: all equal,
+  // all in the window, and none may cost a canonical re-score.
+  CancellationToken cancel;
+  cancel.RequestHardStop();
+  const std::vector<double> zeros(items.size(), 0.0);
+  EXPECT_EQ(CandidateScan::SelectTopK(items, zeros, 1, rescore, &cancel),
+            (std::vector<ItemId>{2}));
+  EXPECT_EQ(calls, 2u);
+}
+
+TEST(NearTieSelectTest, HalfWindowPerturbationsKeepTheCanonicalTopK) {
+  // Forty candidates on five gain levels, so exact canonical ties abound;
+  // every fast gain is off by up to half the window. Plain TopKByScore
+  // reorders the ties; the near-tie step must not.
+  Rng rng(17);
+  std::vector<ItemId> items;
+  std::vector<double> canonical;
+  for (ItemId i = 0; i < 40; ++i) {
+    items.push_back((i * 7) % 40);
+    canonical.push_back(0.25 * static_cast<double>(1 + rng.UniformIndex(5)));
+  }
+  const double half = CandidateScan::kNearTieRel / 2.0;
+  const CandidateScan::CanonicalScorer rescore = [&](std::size_t idx) {
+    return canonical[idx];
+  };
+  std::size_t plain_mismatches = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<double> fast(items.size());
+    for (std::size_t idx = 0; idx < items.size(); ++idx) {
+      fast[idx] = canonical[idx] +
+                  rng.Uniform(-1.0, 1.0) * half *
+                      std::max(std::fabs(canonical[idx]),
+                               CandidateScan::kNearTieFloor);
+    }
+    for (std::size_t k = 1; k <= 6; ++k) {
+      const std::vector<ItemId> want = TopKByScore(items, canonical, k);
+      EXPECT_EQ(CandidateScan::SelectTopK(items, fast, k, rescore, nullptr),
+                want)
+          << "trial " << trial << " k=" << k;
+      if (TopKByScore(items, fast, k) != want) ++plain_mismatches;
+    }
+  }
+  EXPECT_GT(plain_mismatches, 0u);
 }
 
 TEST_F(StrategyHelpersTest, VoteEntropyMatchesExample41) {

@@ -1,17 +1,20 @@
 // Property-based sweeps over the feedback strategies: contracts that every
 // strategy must honor on every dataset shape and seed, plus the key
 // analytical invariants of the decision-theoretic framework.
+#include <algorithm>
 #include <cmath>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "core/approx_meu.h"
+#include "core/candidate_scan.h"
 #include "core/hybrid.h"
 #include "core/meu.h"
 #include "core/strategy_factory.h"
 #include "data/synthetic.h"
 #include "fusion/accu.h"
+#include "model/shard_partition.h"
 #include "util/math.h"
 
 namespace veritas {
@@ -45,6 +48,32 @@ SyntheticDataset Generate(bool dense, std::uint64_t seed) {
   config.num_items = 90;
   config.num_sources = 60;
   config.avg_votes_per_item = 8.0;
+  config.seed = seed;
+  return GenerateLongTail(config);
+}
+
+// The same shapes with up to three false values per item and less accurate
+// sources, so many items carry three or four claims. Every item keeps its
+// true value among its claims, so each can be pinned to it.
+SyntheticDataset GenerateMultiClaim(bool dense, std::uint64_t seed) {
+  if (dense) {
+    DenseConfig config;
+    config.num_items = 90;
+    config.num_sources = 12;
+    config.density = 0.4;
+    config.accuracy_mean = 0.6;
+    config.max_false_claims = 3;
+    config.ensure_true_claim = true;
+    config.seed = seed;
+    return GenerateDense(config);
+  }
+  LongTailConfig config;
+  config.num_items = 90;
+  config.num_sources = 60;
+  config.avg_votes_per_item = 8.0;
+  config.accuracy_mean = 0.6;
+  config.max_false_claims = 3;
+  config.ensure_true_claim = true;
   config.seed = seed;
   return GenerateLongTail(config);
 }
@@ -171,12 +200,14 @@ TEST_P(DifferentialInvariantTest, FastEqualsLiteralEverywhere) {
 // Brute-force Approx-MEU expected entropy (Eq. 13 under the one-hop
 // truncation), sharing nothing with the CSR kernel but the Eq. (9) deltas:
 // neighbours from a plain Database walk, the literal Eq. (10) form, and
-// Entropy over a fresh vector per neighbour.
+// Entropy over a fresh vector per neighbour. A non-null `confine` drops the
+// neighbours outside i's shard, as the sharded stage 1 does.
 double ReferenceExpectedEntropy(const Database& db,
                                 const CompiledDatabase& compiled,
                                 const FusionResult& fusion,
                                 const PriorSet& priors, ItemId i,
-                                const std::vector<bool>* impact_filter) {
+                                const std::vector<bool>* impact_filter,
+                                const ShardPartition* confine = nullptr) {
   std::set<ItemId> neighbors;
   for (const ItemVote& iv : db.item_votes(i)) {
     for (const Vote& vote : db.source(iv.source).votes) {
@@ -195,6 +226,9 @@ double ReferenceExpectedEntropy(const Database& db,
     for (ItemId j : neighbors) {
       if (priors.Has(j) || db.num_claims(j) <= 1) continue;
       if (impact_filter != nullptr && !(*impact_filter)[j]) continue;
+      if (confine != nullptr && confine->shard_of(j) != confine->shard_of(i)) {
+        continue;
+      }
       estimate += Entropy(EstimateUpdatedProbsLiteral(db, fusion, j, deltas)) -
                   fusion.ItemEntropy(j);
     }
@@ -250,6 +284,154 @@ TEST_P(DifferentialInvariantTest, CsrKernelMatchesBruteForceReference) {
       }
     }
     EXPECT_GT(singletons, 0u) << (dense ? "dense" : "longtail");
+  }
+}
+
+// The single-walk kernel on what the binary sweep above cannot reach:
+// items of up to four claims (so the hypotheses t run past 2), confined
+// scoring against a ShardPartition, and one-hot as well as soft pins. The
+// kernel's gains also stay within the documented error of the canonical
+// body's, 1e-9 * max(|gain|, kNearTieFloor), which the near-tie window is
+// twice of.
+TEST_P(DifferentialInvariantTest,
+       SingleWalkMatchesBruteForceOnMultiClaimItems) {
+  for (const bool dense : {true, false}) {
+    for (const bool one_hot : {false, true}) {
+      const std::string label = std::string(dense ? "dense" : "longtail") +
+                                (one_hot ? " one-hot" : " soft");
+      const SyntheticDataset data = GenerateMultiClaim(dense, GetParam());
+      std::size_t max_claims = 0;
+      for (ItemId i = 0; i < data.db.num_items(); ++i) {
+        max_claims = std::max(max_claims, data.db.num_claims(i));
+      }
+      ASSERT_GT(max_claims, 2u) << label;
+      AccuFusion model;
+      FusionOptions opts;
+      PriorSet priors;
+      const auto conflicting = data.db.ConflictingItems();
+      for (std::size_t c = 0; c < conflicting.size(); c += 5) {
+        const ItemId item = conflicting[c];
+        const ClaimIndex truth = data.truth.TrueClaim(item);
+        if (one_hot) {
+          ASSERT_TRUE(priors.SetExact(data.db, item, truth).ok());
+          continue;
+        }
+        const std::size_t n = data.db.num_claims(item);
+        std::vector<double> soft(n, 0.2 / static_cast<double>(n - 1));
+        soft[truth] = 0.8;
+        ASSERT_TRUE(priors.SetDistribution(data.db, item, soft).ok());
+      }
+      const FusionResult fusion = model.Fuse(data.db, priors, opts);
+      const CompiledDatabase compiled(data.db);
+      StrategyContext ctx;
+      ctx.compiled = &compiled;
+      ctx.fusion = &fusion;
+      ctx.priors = &priors;
+      ctx.model = &model;
+      ctx.fusion_opts = &opts;
+      std::vector<bool> top_k(data.db.num_items(), false);
+      for (ItemId j : ApproxMeuKStrategy::FilterCandidates(ctx, 20.0)) {
+        top_k[j] = true;
+      }
+      const ShardPartition partition(compiled, 3);
+
+      const std::vector<bool>* filters[] = {nullptr, &top_k};
+      const ShardPartition* confines[] = {nullptr, &partition};
+      for (ItemId i = 0; i < data.db.num_items(); ++i) {
+        for (const std::vector<bool>* filter : filters) {
+          for (const ShardPartition* confine : confines) {
+            const double want = ReferenceExpectedEntropy(
+                data.db, compiled, fusion, priors, i, filter, confine);
+            const double got =
+                ApproxMeuStrategy::ExpectedEntropyAfterValidation(
+                    ctx, i, filter, confine);
+            EXPECT_NEAR(got, want, 1e-9 * std::fabs(want))
+                << label << " item " << i
+                << (filter != nullptr ? " (top-k filter)" : "")
+                << (confine != nullptr ? " (confined)" : "");
+          }
+        }
+      }
+      const std::vector<ItemId> candidates = CandidateItems(ctx);
+      for (const std::vector<bool>* filter : filters) {
+        const std::vector<double> fast =
+            ApproxMeuStrategy::ScoreCandidates(ctx, candidates, filter);
+        const std::vector<double> canonical =
+            ApproxMeuStrategy::CanonicalGains(ctx, candidates, filter);
+        for (std::size_t k = 0; k < candidates.size(); ++k) {
+          EXPECT_NEAR(fast[k], canonical[k],
+                      1e-9 * std::max(std::fabs(canonical[k]),
+                                      CandidateScan::kNearTieFloor))
+              << label << " candidate " << candidates[k];
+        }
+      }
+    }
+  }
+}
+
+// The near-tie step's guarantee: perturbing every fast gain by up to half
+// the window, tau/2 * max(|gain|, floor), through a scorer wrapper leaves
+// the selection at the canonical body's top k. Each trial draws one
+// perturbation per candidate; the last pushes the canonical leaders down
+// and the rest up, the direction that would reorder near ties.
+TEST_P(DifferentialInvariantTest, NearTieStepAbsorbsHalfWindowPerturbations) {
+  for (const bool dense : {true, false}) {
+    const SyntheticDataset data = GenerateMultiClaim(dense, GetParam());
+    AccuFusion model;
+    FusionOptions opts;
+    PriorSet priors;
+    const FusionResult fusion = model.Fuse(data.db, priors, opts);
+    const CompiledDatabase compiled(data.db);
+    StrategyContext ctx;
+    ctx.compiled = &compiled;
+    ctx.fusion = &fusion;
+    ctx.priors = &priors;
+    ctx.model = &model;
+    ctx.fusion_opts = &opts;
+    const std::vector<ItemId> candidates = CandidateItems(ctx);
+    const std::vector<double> fast =
+        ApproxMeuStrategy::ScoreCandidates(ctx, candidates, nullptr);
+    const std::vector<double> canonical =
+        ApproxMeuStrategy::CanonicalGains(ctx, candidates, nullptr);
+    const double half = CandidateScan::kNearTieRel / 2.0;
+    Rng rng(GetParam());
+    CandidateScan scan;
+    for (const std::size_t k :
+         {std::size_t{1}, std::size_t{3}, std::size_t{10}}) {
+      const std::vector<ItemId> want = TopKByScore(candidates, canonical, k);
+      const std::vector<ItemId> leaders =
+          TopKByScore(candidates, canonical, k + 1);
+      for (int trial = 0; trial < 8; ++trial) {
+        std::vector<double> unit(candidates.size());
+        for (std::size_t idx = 0; idx < candidates.size(); ++idx) {
+          const bool leader = std::find(leaders.begin(), leaders.end(),
+                                        candidates[idx]) != leaders.end();
+          unit[idx] = trial < 7 ? rng.Uniform(-1.0, 1.0)
+                                : (leader ? -0.999 : 0.999);
+        }
+        const CandidateScan::Scorer perturbed = [&](std::size_t,
+                                                    std::size_t idx) {
+          return fast[idx] +
+                 unit[idx] * half *
+                     std::max(std::fabs(fast[idx]),
+                              CandidateScan::kNearTieFloor);
+        };
+        const std::vector<double> gains =
+            scan.Gains(candidates, perturbed, /*cancel=*/nullptr);
+        EXPECT_EQ(ApproxMeuStrategy::SelectTopK(ctx, candidates, gains, k,
+                                                nullptr),
+                  want)
+            << (dense ? "dense" : "longtail") << " k=" << k
+            << " trial " << trial;
+        EXPECT_EQ(CandidateScan::SelectTopK(
+                      candidates, gains, k,
+                      [&](std::size_t idx) { return canonical[idx]; },
+                      /*cancel=*/nullptr),
+                  want)
+            << (dense ? "dense" : "longtail") << " k=" << k
+            << " trial " << trial;
+      }
+    }
   }
 }
 

@@ -139,6 +139,9 @@ Status RunFuse(const ArgMap& args) {
   VERITAS_ASSIGN_OR_RETURN(auto model,
                            MakeFusionModel(args.GetString("model", "accu")));
   VERITAS_ASSIGN_OR_RETURN(long iterations, args.GetInt("iterations", 100));
+  if (iterations < 0) {
+    return Status::InvalidArgument("--iterations must be >= 0");
+  }
   FusionOptions opts;
   opts.max_iterations = static_cast<std::size_t>(iterations);
   const FusionResult result = model->Fuse(db, PriorSet(), opts);
