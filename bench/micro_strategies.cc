@@ -4,7 +4,8 @@
 // `--json <path>` skips the google-benchmark run and instead merges the
 // Approx-MEU kernel record (`approx_meu_kernel`, one per dataset shape) into
 // the shared fusion baseline: ns per candidate of the canonical
-// per-hypothesis body and of the single source-major walk, and whether the
+// per-hypothesis body and of the fast single-walk body, how many candidates
+// carry more than two claims (the multi-claim body), and whether the
 // strategy's selections equal the canonical body's top k.
 #include <benchmark/benchmark.h>
 
@@ -102,8 +103,11 @@ void BM_EstimateUpdatedProbs(benchmark::State& state) {
 }
 BENCHMARK(BM_EstimateUpdatedProbs);
 
-// The two kernel shapes: the served FlightsLike snapshot (260 items, 38
-// sources, heavy copying) and the table-11 Books-like long tail (300 x 210).
+// The kernel shapes: the served FlightsLike snapshot (260 items, 38
+// sources, heavy copying), the table-11 Books-like long tail (300 x 210),
+// both binary, and the FlightsLike layout with up to three false values and
+// less accurate sources, whose candidates mostly carry three or four claims
+// (the multi-claim body).
 SyntheticDataset FlightsLike260() {
   DenseConfig config;
   config.num_items = 260;
@@ -121,11 +125,25 @@ SyntheticDataset BooksLike300() {
   return MakeBooksLike(ScaleMode::kSmall).data;
 }
 
+SyntheticDataset MultiClaim260() {
+  DenseConfig config;
+  config.num_items = 260;
+  config.num_sources = 38;
+  config.density = 0.36;
+  config.accuracy_mean = 0.6;
+  config.accuracy_sd = 0.1;
+  config.max_false_claims = 3;
+  config.copier_fraction = 0.5;
+  config.ensure_true_claim = true;
+  config.seed = 1;
+  return GenerateDense(config);
+}
+
 // Per-candidate cost of one Approx-MEU body: every conflicting item scored
 // once per pass, serially.
 void BM_ApproxMeuPerCandidate(benchmark::State& state, bool canonical,
-                              bool books) {
-  Fixture fixture(books ? BooksLike300() : FlightsLike260());
+                              SyntheticDataset (*make)()) {
+  Fixture fixture(make());
   const std::vector<ItemId> candidates = CandidateItems(fixture.ctx);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -137,12 +155,18 @@ void BM_ApproxMeuPerCandidate(benchmark::State& state, bool canonical,
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(candidates.size()));
 }
-BENCHMARK_CAPTURE(BM_ApproxMeuPerCandidate, canonical_flights260, true, false);
+BENCHMARK_CAPTURE(BM_ApproxMeuPerCandidate, canonical_flights260, true,
+                  &FlightsLike260);
 BENCHMARK_CAPTURE(BM_ApproxMeuPerCandidate, single_walk_flights260, false,
-                  false);
-BENCHMARK_CAPTURE(BM_ApproxMeuPerCandidate, canonical_books300, true, true);
+                  &FlightsLike260);
+BENCHMARK_CAPTURE(BM_ApproxMeuPerCandidate, canonical_books300, true,
+                  &BooksLike300);
 BENCHMARK_CAPTURE(BM_ApproxMeuPerCandidate, single_walk_books300, false,
-                  true);
+                  &BooksLike300);
+BENCHMARK_CAPTURE(BM_ApproxMeuPerCandidate, canonical_multiclaim260, true,
+                  &MultiClaim260);
+BENCHMARK_CAPTURE(BM_ApproxMeuPerCandidate, single_walk_multiclaim260, false,
+                  &MultiClaim260);
 
 // Best-of-`rounds` wall-clock seconds of one call.
 template <typename Fn>
@@ -162,11 +186,15 @@ int WriteKernelRecords(const std::string& path) {
   BenchJsonFile json("veritas-bench-fusion-v1");
   bool all_match = true;
   const std::pair<const char*, SyntheticDataset (*)()> shapes[] = {
-      {"FlightsLike", &FlightsLike260}, {"Books-like", &BooksLike300}};
+      {"FlightsLike", &FlightsLike260},
+      {"Books-like", &BooksLike300},
+      {"FlightsLike-multiclaim", &MultiClaim260}};
   for (const auto& [name, make] : shapes) {
     Fixture fixture(make());
     const std::vector<ItemId> candidates = CandidateItems(fixture.ctx);
     const double n = static_cast<double>(candidates.size());
+    std::size_t multi_claim = 0;
+    for (ItemId i : candidates) multi_claim += fixture.data.db.num_claims(i) > 2;
     std::vector<double> canonical;
     std::vector<double> fast;
     const double canonical_s = MinSeconds([&] {
@@ -192,6 +220,7 @@ int WriteKernelRecords(const std::string& path) {
         .Set("sources", fixture.data.db.num_sources())
         .Set("observations", fixture.data.db.num_observations())
         .Set("candidates", candidates.size())
+        .Set("multi_claim_candidates", multi_claim)
         .Set("canonical_ns_per_candidate", canonical_s * 1e9 / n)
         .Set("single_walk_ns_per_candidate", fast_s * 1e9 / n)
         .Set("speedup_vs_canonical", canonical_s / fast_s)

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 
@@ -131,11 +132,20 @@ EntropyBaseline ComputeBaseline(const CompiledDatabase& compiled,
   return baseline;
 }
 
+// One neighbour's share of the batched entropy pass: `claims` updated
+// probabilities in KernelScratch::terms, weighted by the mass of the
+// hypotheses that leave the neighbour there.
+struct EntropySegment {
+  std::uint32_t claims = 0;
+  double weight = 0.0;
+  double baseline = 0.0;  // The neighbour's current entropy.
+};
+
 // One lane's scratch for one scan, sized to the view on first use. Lanes
 // never share it, so the pooled scan needs no synchronization. A scan stamps
 // two item generations per candidate and one hypothesis generation per
-// claim, so the stamps never wrap. Between candidates `base_g` and `hyp_g`
-// are all zero.
+// claim, so the stamps never wrap. Between candidates `g` is all zero and
+// the batch is empty.
 struct KernelScratch {
   std::vector<std::uint32_t> stamp;  // By ItemId; == current: marked.
   std::uint32_t current = 0;
@@ -143,15 +153,20 @@ struct KernelScratch {
   // The canonical per-hypothesis body.
   AccuracyDeltas deltas;
   std::vector<double> updated;
-  // The single walk: g(v) = b(v) + e^t(v) by global claim id, and per item
-  // the last hypothesis that reached it and the summed probability of all
-  // hypotheses that did.
-  std::vector<double> base_g;
-  std::vector<double> hyp_g;
+  // The fast bodies' two accumulators by global claim id: c_0 and c_1 in
+  // the two-claim body, b and e^t in the multi-claim one.
+  std::vector<double> g[2];
+  // The multi-claim body: per item the last hypothesis that reached it and
+  // the summed probability of all hypotheses that did.
   std::vector<std::uint32_t> reached;  // By ItemId; == hypothesis: reached.
   std::uint32_t hypothesis = 0;
   std::vector<double> reached_mass;  // By ItemId.
   std::vector<ItemId> reached_items;
+  // The batch of the entropy pass: updated probabilities, then their
+  // entropy terms, segment after segment. Holds at most 2 * num_claims.
+  std::vector<double> terms;
+  std::size_t num_terms = 0;
+  std::vector<EntropySegment> segments;
 };
 
 // 1 / N(s) times the odds-derivative factor: voter s's Eq. (9)/(10)
@@ -236,80 +251,119 @@ double CanonicalExpectedEntropyAt(const StrategyContext& ctx, ItemId i,
   return PerHypothesisExpectedEntropy(ctx, i, baseline, scratch);
 }
 
-// Entropy of neighbour j's Eq. (10) update for g = b + e, both by global
-// claim id; leaves j's entries of `e` zero. The arithmetic of
-// EstimateUpdatedProbs' closed form followed by Entropy, fused inline: g
-// lives in e's own slots, and nothing is called per claim but the log.
-double UpdatedEntropy(const CompiledDatabase& compiled,
-                      const FusionResult& fusion, ItemId j, const double* b,
-                      double* e) {
-  const std::span<const double> p = fusion.item_probs(j);
-  const std::uint32_t first = compiled.claim_offset(j);
-  b += first;
-  e += first;
+// Appends neighbour j's Eq. (10) update for g(r) = g_of(r), r local, to
+// the batch with weight `weight`: EstimateUpdatedProbs' closed form, with g
+// held in the batch's own slots and the result clamped into [DBL_MIN, 1]
+// so the batched log needs no branch.
+template <typename GOf>
+void AppendUpdate(std::span<const double> p, double weight, double baseline,
+                  GOf g_of, KernelScratch* scratch) {
+  double* u = scratch->terms.data() + scratch->num_terms;
   double g_bar = 0.0;
   for (std::size_t r = 0; r < p.size(); ++r) {
-    e[r] += b[r];
-    g_bar += p[r] * e[r];
+    u[r] = g_of(r);
+    g_bar += p[r] * u[r];
   }
-  double h = 0.0;
   for (std::size_t r = 0; r < p.size(); ++r) {
-    const double u =
-        std::min(std::max(p[r] + p[r] * (e[r] - g_bar), 0.0), 1.0);
-    if (u > 0.0) h -= u * std::log(u);
-    e[r] = 0.0;
+    u[r] = std::min(std::max(p[r] + p[r] * (u[r] - g_bar),
+                             std::numeric_limits<double>::min()),
+                    1.0);
   }
-  return h;
+  scratch->num_terms += p.size();
+  scratch->segments.push_back(
+      {static_cast<std::uint32_t>(p.size()), weight, baseline});
 }
 
-// The same expectation from one source-major walk, exploiting linearity in
-// t. Source s votes c_s on i, so Eq. (9) gives dA(s) = (1[c_s = t] -
-// p_{c_s}) / N(s), and each neighbour's g(v; t) = b(v) + e^t(v): the base b
-// sums -p_{c_s} F_s / N(s) over all of i's voters (F_s the odds-derivative
-// factor) and is shared by every t; e^t sums F_s / N(s) over the voters of
-// t only. One walk of the voters' source -> votes rows gives b; each t then
-// walks only its own voters' rows into e and re-scores the neighbours they
-// reach. A neighbour that no t-voter reaches keeps its base estimate, whose
-// entropy is computed once, and only when some hypothesis leaves it there.
-// When the neighbours' votes times |claims(i)| are fewer than the voters'
-// rows (a sparse impact filter or a small shard) the per-hypothesis body is
-// cheaper and runs instead. A non-null `confine` keeps the impact inside
-// i's own shard. Within 1e-9 * max(|gain|, 1 nat) of the canonical body
-// (summation order only).
-double SingleWalkExpectedEntropyAt(const StrategyContext& ctx, ItemId i,
-                                   const EntropyBaseline& baseline,
-                                   const std::vector<bool>* impact_filter,
-                                   const ShardPartition* confine,
-                                   KernelScratch* scratch) {
+// The batched entropy pass: one vectorised log loop over every pending
+// update, then sum over segments of weight * (H(update) - baseline), each
+// H summed over its claims in order. Empties the batch.
+double FlushEntropies(KernelScratch* scratch) {
+  const std::span<double> terms(scratch->terms.data(), scratch->num_terms);
+  EntropyTermsInPlace(terms);
+  const double* h = terms.data();
+  double sum = 0.0;
+  for (const EntropySegment& segment : scratch->segments) {
+    double entropy = 0.0;
+    for (std::uint32_t r = 0; r < segment.claims; ++r) entropy += h[r];
+    h += segment.claims;
+    sum += segment.weight * (entropy - segment.baseline);
+  }
+  scratch->num_terms = 0;
+  scratch->segments.clear();
+  return sum;
+}
+
+// A two-claim candidate from one walk. Source s votes c_s on i, so Eq. (9)
+// gives dA(s) = (1[c_s = t] - p_{c_s}) / N(s). With c_k(v) the sum of
+// F_s / N(s) (F_s the odds-derivative factor) over the voters of claim k
+// that also vote v on a neighbour,
+//   g(v; 0) = (1 - p_0) c_0(v) - p_1 c_1(v),
+//   g(v; 1) = -p_0 c_0(v) + (1 - p_1) c_1(v).
+// One walk of i's voters' rows fills c_0 and c_1 by global claim id, which
+// gives both hypotheses for every neighbour, of any arity.
+double TwoClaimExpectedEntropy(const StrategyContext& ctx, ItemId i,
+                               const EntropyBaseline& baseline,
+                               KernelScratch* scratch) {
   const CompiledDatabase& compiled = *ctx.compiled;
   const FusionResult& fusion = *ctx.fusion;
-  if (scratch->base_g.size() != compiled.num_claims()) {
-    scratch->base_g.assign(compiled.num_claims(), 0.0);
-    scratch->hyp_g.assign(compiled.num_claims(), 0.0);
+  const std::vector<std::uint32_t>& stamp = scratch->stamp;
+  const std::uint32_t impacted = scratch->current;
+  double* const c[2] = {scratch->g[0].data(), scratch->g[1].data()};
+  compiled.ForEachItemVote(i, [&](SourceId s, ClaimIndex claim) {
+    const double w = VoterWeight(compiled, fusion, s);
+    double* const row = c[claim];
+    compiled.ForEachSourceVote(s, [&](ItemId j, std::uint32_t g) {
+      if (stamp[j] == impacted) row[g] += w;
+    });
+  });
+  const double p_i[2] = {fusion.prob(i, 0), fusion.prob(i, 1)};
+  // g(v; t) = a[t] c_0(v) + b[t] c_1(v).
+  const double a[2] = {1.0 - p_i[0], 0.0 - p_i[0]};
+  const double b[2] = {0.0 - p_i[1], 1.0 - p_i[1]};
+  double mass = 0.0;
+  for (const double pt : p_i) {
+    if (pt > 0.0) mass += pt;  // Zero-probability hypotheses contribute 0.
   }
+  for (ItemId j : scratch->neighbors) {
+    const std::span<const double> p = fusion.item_probs(j);
+    double* const c0 = c[0] + compiled.claim_offset(j);
+    double* const c1 = c[1] + compiled.claim_offset(j);
+    for (ClaimIndex t = 0; t < 2; ++t) {
+      if (p_i[t] <= 0.0) continue;
+      AppendUpdate(
+          p, p_i[t], baseline.item[j],
+          [&](std::size_t r) { return a[t] * c0[r] + b[t] * c1[r]; },
+          scratch);
+    }
+    std::fill_n(c0, p.size(), 0.0);
+    std::fill_n(c1, p.size(), 0.0);
+  }
+  return mass * (baseline.total - baseline.item[i]) +
+         FlushEntropies(scratch);
+}
+
+// A candidate of more than two claims, exploiting linearity in t with one
+// accumulator per role, so the scratch stays O(num_claims) whatever
+// |claims(i)| is: each neighbour's g(v; t) = b(v) + e^t(v), where the base
+// b sums -p_{c_s} F_s / N(s) over all of i's voters and is shared by every
+// t, and e^t sums F_s / N(s) over the voters of t only. One walk of the
+// voters' rows gives b; each t then walks only its own voters' rows into e
+// and batches the neighbours they reach. A neighbour that no t-voter
+// reaches keeps its base estimate, batched once with the mass of the
+// hypotheses that left it there.
+double MultiClaimExpectedEntropy(const StrategyContext& ctx, ItemId i,
+                                 const EntropyBaseline& baseline,
+                                 KernelScratch* scratch) {
+  const CompiledDatabase& compiled = *ctx.compiled;
+  const FusionResult& fusion = *ctx.fusion;
   if (scratch->reached.size() != compiled.num_items()) {
     scratch->reached.assign(compiled.num_items(), 0);
     scratch->reached_mass.assign(compiled.num_items(), 0.0);
   }
-  std::vector<double>& base_g = scratch->base_g;
-  std::vector<double>& hyp_g = scratch->hyp_g;
-  CollectImpacted(ctx, i, impact_filter, confine, scratch);
   const std::vector<std::uint32_t>& stamp = scratch->stamp;
   const std::uint32_t impacted = scratch->current;
-  // The hypotheses' walks cover i's voters' rows; the per-hypothesis body
-  // covers the neighbours' votes once per t. When an impact filter or a
-  // shard leaves few neighbours, the latter is cheaper.
-  std::size_t voter_rows = 0;
-  compiled.ForEachItemVote(i, [&](SourceId s, ClaimIndex) {
-    voter_rows += compiled.source_degree(s);
-  });
-  std::size_t neighbor_votes = 0;
-  for (ItemId j : scratch->neighbors) {
-    neighbor_votes += compiled.item_votes_end(j) - compiled.item_votes_begin(j);
-  }
-  if (compiled.item_num_claims(i) * neighbor_votes < voter_rows) {
-    return PerHypothesisExpectedEntropy(ctx, i, baseline, scratch);
-  }
+  double* const base_g = scratch->g[0].data();
+  double* const hyp_g = scratch->g[1].data();
   compiled.ForEachItemVote(i, [&](SourceId s, ClaimIndex claim) {
     const double w =
         (0.0 - fusion.prob(i, claim)) * VoterWeight(compiled, fusion, s);
@@ -339,29 +393,76 @@ double SingleWalkExpectedEntropyAt(const StrategyContext& ctx, ItemId i,
         }
       });
     });
-    double estimate = baseline.total - baseline.item[i];
     for (ItemId j : scratch->reached_items) {
-      estimate += UpdatedEntropy(compiled, fusion, j, base_g.data(),
-                                 hyp_g.data()) -
-                  baseline.item[j];
+      const std::span<const double> p = fusion.item_probs(j);
+      const double* const b = base_g + compiled.claim_offset(j);
+      double* const e = hyp_g + compiled.claim_offset(j);
+      AppendUpdate(
+          p, pt, baseline.item[j], [&](std::size_t r) { return b[r] + e[r]; },
+          scratch);
+      std::fill_n(e, p.size(), 0.0);
       scratch->reached_mass[j] += pt;
     }
-    expected += pt * estimate;
+    // Per hypothesis, so the batch holds each neighbour at most once.
+    expected += FlushEntropies(scratch);
   }
-  // The hypotheses that left j at its base estimate (e is all zero here).
-  // reached_mass sums the same p_t in the same order as `mass`, so it
-  // equals `mass` exactly when every hypothesis reached j.
+  // The hypotheses that left j at its base estimate. reached_mass sums the
+  // same p_t in the same order as `mass`, so it equals `mass` exactly when
+  // every hypothesis reached j.
   for (ItemId j : scratch->neighbors) {
+    const std::span<const double> p = fusion.item_probs(j);
+    double* const b = base_g + compiled.claim_offset(j);
     const double unreached = mass - scratch->reached_mass[j];
     if (unreached > 0.0) {
-      expected += unreached * (UpdatedEntropy(compiled, fusion, j,
-                                              base_g.data(), hyp_g.data()) -
-                               baseline.item[j]);
+      AppendUpdate(
+          p, unreached, baseline.item[j], [&](std::size_t r) { return b[r]; },
+          scratch);
     }
-    const std::uint32_t first = compiled.claim_offset(j);
-    std::fill_n(base_g.begin() + first, compiled.item_num_claims(j), 0.0);
+    std::fill_n(b, p.size(), 0.0);
   }
-  return expected;
+  expected += FlushEntropies(scratch);
+  return mass * (baseline.total - baseline.item[i]) + expected;
+}
+
+// The fast body of the scan: the expectation of the canonical body from
+// one walk of the candidate's voters' source -> votes rows (the two-claim
+// and multi-claim bodies above), with every neighbour's updated entropy
+// computed in one batched, vectorised log pass per flush. When the
+// neighbours' votes times |claims(i)| are fewer than the voters' rows (a
+// sparse impact filter or a small shard) the per-hypothesis body is cheaper
+// and runs instead. A non-null `confine` keeps the impact inside i's own
+// shard. Within 1e-9 * max(|gain|, 1 nat) of the canonical body: the
+// summation order differs and LogOfNormal is within 1 ulp of std::log.
+double SingleWalkExpectedEntropyAt(const StrategyContext& ctx, ItemId i,
+                                   const EntropyBaseline& baseline,
+                                   const std::vector<bool>* impact_filter,
+                                   const ShardPartition* confine,
+                                   KernelScratch* scratch) {
+  const CompiledDatabase& compiled = *ctx.compiled;
+  if (scratch->terms.size() != 2 * compiled.num_claims()) {
+    scratch->g[0].assign(compiled.num_claims(), 0.0);
+    scratch->g[1].assign(compiled.num_claims(), 0.0);
+    scratch->terms.assign(2 * compiled.num_claims(), 0.0);
+  }
+  CollectImpacted(ctx, i, impact_filter, confine, scratch);
+  // The fast bodies walk i's voters' rows; the per-hypothesis body walks
+  // the neighbours' votes once per t. When an impact filter or a shard
+  // leaves few neighbours, the latter is cheaper.
+  std::size_t voter_rows = 0;
+  compiled.ForEachItemVote(i, [&](SourceId s, ClaimIndex) {
+    voter_rows += compiled.source_degree(s);
+  });
+  std::size_t neighbor_votes = 0;
+  for (ItemId j : scratch->neighbors) {
+    neighbor_votes += compiled.item_votes_end(j) - compiled.item_votes_begin(j);
+  }
+  if (compiled.item_num_claims(i) * neighbor_votes < voter_rows) {
+    return PerHypothesisExpectedEntropy(ctx, i, baseline, scratch);
+  }
+  if (compiled.item_num_claims(i) == 2) {
+    return TwoClaimExpectedEntropy(ctx, i, baseline, scratch);
+  }
+  return MultiClaimExpectedEntropy(ctx, i, baseline, scratch);
 }
 
 }  // namespace

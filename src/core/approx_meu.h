@@ -25,26 +25,34 @@
 //
 // The kernel walks the session's compiled view (ctx.compiled, always set)
 // once per candidate, source-major. Eq. (9) is linear in the validated claim
-// t: a voter s of o_i with claim c_s shifts by (1[c_s = t] - p_{c_s}) / N(s),
-// so each neighbour's g(v; t) = b(v) + e^t(v). One walk of the voters'
-// source -> votes rows accumulates the base b, shared by every t, into a
-// flat array by global claim id; each hypothesis t then walks only its own
-// voters' rows into one reused e array and re-scores just the neighbours
-// they reach. A neighbour no t-voter reaches keeps its base estimate, whose
-// entropy is computed once. The single walk's per-lane scratch is
-// O(num_items + num_claims) whatever |claims(i)| is and resets through the
-// neighbour and reached lists, so scoring a candidate allocates nothing
-// once a lane's scratch has grown to the view. A candidate whose neighbours
-// are so few (an impact filter, a small shard) that walking their votes once
-// per t is cheaper than the voters' rows runs the per-hypothesis body below.
+// t: a voter s of o_i with claim c_s shifts by (1[c_s = t] - p_{c_s}) / N(s).
+// For a two-claim candidate, the common case, let c_k(v) sum F_s / N(s)
+// (F_s the odds-derivative factor) over the voters of claim k that also
+// vote v on a neighbour; then g(v; 0) = (1 - p_0) c_0(v) - p_1 c_1(v) and
+// g(v; 1) = -p_0 c_0(v) + (1 - p_1) c_1(v), so one walk of the voters'
+// source -> votes rows, filling c_0 and c_1 by global claim id, gives both
+// hypotheses for every neighbour. A candidate of more than two claims
+// splits g(v; t) = b(v) + e^t(v): one walk accumulates the base b, shared
+// by every t, and each hypothesis walks only its own voters' rows into one
+// reused e array and re-scores just the neighbours they reach; a neighbour
+// no t-voter reaches keeps its base estimate. Both bodies write each
+// neighbour's clamped updated probabilities into a per-lane batch, and one
+// branch-free loop (EntropyTermsInPlace, vectorised at -O3) turns the
+// whole batch into entropy terms with LogOfNormal, a log within 1 ulp of
+// std::log. The per-lane scratch is O(num_items + num_claims) whatever
+// |claims(i)| is and resets through the neighbour and reached lists, so
+// scoring a candidate allocates nothing once a lane's scratch has grown to
+// the view. A candidate whose neighbours are so few (an impact filter, a
+// small shard) that walking their votes once per t is cheaper than the
+// voters' rows runs the per-hypothesis body below.
 //
-// The single walk sums in another order than the per-hypothesis body it
-// replaced (one Eq. (9)/(10) pass per t over every neighbour's votes), so
-// its gains differ from that body's in the last bits. That body stays as
-// the canonical evaluator (CanonicalGains): the final selection re-scores
-// the candidates within the near-tie window of the k-th best gain with it
-// (CandidateScan::SelectTopK), so selections are the canonical body's
-// whatever the fast path's summation order.
+// The fast bodies sum in another order than the per-hypothesis body (one
+// Eq. (9)/(10) pass per t over every neighbour's votes, entropies by
+// std::log), so their gains differ from that body's in the last bits. That
+// body is the canonical evaluator (CanonicalGains): the final selection
+// re-scores the candidates within the near-tie window of the k-th best gain
+// with it (CandidateScan::SelectTopK), so selections are the canonical
+// body's whatever the fast path's summation order and log.
 #ifndef VERITAS_CORE_APPROX_MEU_H_
 #define VERITAS_CORE_APPROX_MEU_H_
 
@@ -77,8 +85,9 @@ void ComputeAccuracyDeltas(const CompiledDatabase& compiled,
 
 /// Estimated post-validation distribution of item `j` given source accuracy
 /// deltas, using the closed-form first-order update, into `updated`
-/// (resized). Entries are clamped into [0, 1]. The Approx-MEU kernel's only
-/// estimate; O(votes_j + |V_j|), no allocation once `updated` has grown.
+/// (resized). Entries are clamped into [0, 1]. The canonical per-hypothesis
+/// body's estimate (the fast bodies inline the same closed form);
+/// O(votes_j + |V_j|), no allocation once `updated` has grown.
 void EstimateUpdatedProbs(const CompiledDatabase& compiled,
                           const FusionResult& fusion, ItemId j,
                           const AccuracyDeltas& deltas,
@@ -112,8 +121,7 @@ class ApproxMeuStrategy : public Strategy {
   /// estimate (the EU* of Table 9). When `impact_filter` is non-null, only
   /// neighbour items j with (*impact_filter)[j] participate in the impact
   /// computation (used by Approx-MEU_k, §4.3); a non-null `confine` keeps
-  /// the impact inside item's shard. Runs the single-walk body of
-  /// ScoreCandidates.
+  /// the impact inside item's shard. Runs the fast body of ScoreCandidates.
   static double ExpectedEntropyAfterValidation(
       const StrategyContext& ctx, ItemId item,
       const std::vector<bool>* impact_filter,
@@ -133,7 +141,7 @@ class ApproxMeuStrategy : public Strategy {
       const ShardPartition* confine = nullptr);
 
   /// Delta-EU of every candidate from the canonical body, serially: the
-  /// reference the single walk and the near-tie step are checked against.
+  /// reference the fast bodies and the near-tie step are checked against.
   static std::vector<double> CanonicalGains(
       const StrategyContext& ctx, const std::vector<ItemId>& candidates,
       const std::vector<bool>* impact_filter);

@@ -28,6 +28,14 @@ double Entropy(std::span<const double> probs) {
   return h;
 }
 
+void EntropyTermsInPlace(std::span<double> probs) {
+  // No compare, select or reduction in the body: GCC 12 vectorises none of
+  // them here without -ffast-math.
+  double* p = probs.data();
+  const std::size_t n = probs.size();
+  for (std::size_t k = 0; k < n; ++k) p[k] = -p[k] * LogOfNormal(p[k]);
+}
+
 double MaxEntropy(std::size_t n) {
   if (n <= 1) return 0.0;
   return std::log(static_cast<double>(n));

@@ -287,14 +287,19 @@ TEST_P(DifferentialInvariantTest, CsrKernelMatchesBruteForceReference) {
   }
 }
 
-// The single-walk kernel on what the binary sweep above cannot reach:
-// items of up to four claims (so the hypotheses t run past 2), confined
-// scoring against a ShardPartition, and one-hot as well as soft pins. The
-// kernel's gains also stay within the documented error of the canonical
-// body's, 1e-9 * max(|gain|, kNearTieFloor), which the near-tie window is
-// twice of.
+// The fast kernel on what the binary sweep above cannot reach: items of up
+// to four claims (so the hypotheses t run past 2, the multi-claim body),
+// two-claim candidates next to 3- and 4-claim items (the two-claim body's
+// g(v; t) then spans all of a neighbour's claims), confined scoring against
+// a ShardPartition, and one-hot as well as soft pins. The kernel's gains
+// also stay within the documented error of the canonical body's, 1e-9 *
+// max(|gain|, kNearTieFloor), which the near-tie window is twice of.
 TEST_P(DifferentialInvariantTest,
        SingleWalkMatchesBruteForceOnMultiClaimItems) {
+  // Two-claim candidates that reach a 3-claim and a 4-claim item. The
+  // long-tail shape does not always have the latter, so the fixture's
+  // coverage is asserted over both shapes.
+  std::size_t two_claim_next_to[5] = {0, 0, 0, 0, 0};
   for (const bool dense : {true, false}) {
     for (const bool one_hot : {false, true}) {
       const std::string label = std::string(dense ? "dense" : "longtail") +
@@ -305,6 +310,16 @@ TEST_P(DifferentialInvariantTest,
         max_claims = std::max(max_claims, data.db.num_claims(i));
       }
       ASSERT_GT(max_claims, 2u) << label;
+      for (ItemId i : data.db.ConflictingItems()) {
+        if (data.db.num_claims(i) != 2) continue;
+        bool reaches[5] = {false, false, false, false, false};
+        for (const ItemVote& iv : data.db.item_votes(i)) {
+          for (const Vote& vote : data.db.source(iv.source).votes) {
+            if (vote.item != i) reaches[data.db.num_claims(vote.item)] = true;
+          }
+        }
+        for (std::size_t n = 3; n <= 4; ++n) two_claim_next_to[n] += reaches[n];
+      }
       AccuFusion model;
       FusionOptions opts;
       PriorSet priors;
@@ -367,6 +382,8 @@ TEST_P(DifferentialInvariantTest,
       }
     }
   }
+  EXPECT_GT(two_claim_next_to[3], 0u);
+  EXPECT_GT(two_claim_next_to[4], 0u);
 }
 
 // The near-tie step's guarantee: perturbing every fast gain by up to half

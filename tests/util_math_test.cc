@@ -1,5 +1,6 @@
 #include "util/math.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -7,6 +8,8 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/rng.h"
 
 namespace veritas {
 namespace {
@@ -70,6 +73,120 @@ TEST(EntropyTest, BoundedByMaxEntropy) {
   const std::vector<double> p = {0.2, 0.3, 0.1, 0.4};
   EXPECT_LE(Entropy(p), MaxEntropy(p.size()) + 1e-12);
   EXPECT_GE(Entropy(p), 0.0);
+}
+
+// Doubles mapped onto one integer line, so the difference of two mapped
+// values counts the representable doubles between them (+0 and -0 meet).
+std::int64_t OrderedBits(double x) {
+  const auto bits = std::bit_cast<std::int64_t>(x);
+  return bits < 0 ? std::numeric_limits<std::int64_t>::min() - bits : bits;
+}
+
+std::int64_t UlpDistance(double a, double b) {
+  const std::int64_t d = OrderedBits(a) - OrderedBits(b);
+  return d < 0 ? -d : d;
+}
+
+// The stated bound of LogOfNormal: within 1 ulp of std::log.
+constexpr std::int64_t kLogUlpBound = 1;
+
+void ExpectLogWithinBound(double x) {
+  EXPECT_LE(UlpDistance(LogOfNormal(x), std::log(x)), kLogUlpBound)
+      << std::hexfloat << "x = " << x << ": " << LogOfNormal(x) << " vs "
+      << std::log(x);
+}
+
+TEST(LogOfNormalTest, ExactAtOneAndPowersOfTwo) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(LogOfNormal(1.0)), 0u);  // +0.
+  EXPECT_EQ(LogOfNormal(0.5), std::log(0.5));
+  EXPECT_EQ(LogOfNormal(2.0), std::log(2.0));
+}
+
+TEST(LogOfNormalTest, AroundOne) {
+  const double one = 1.0;
+  ExpectLogWithinBound(one);
+  ExpectLogWithinBound(std::nextafter(one, 0.0));
+  ExpectLogWithinBound(std::nextafter(one, 2.0));
+  double below = one;
+  double above = one;
+  for (int step = 0; step < 64; ++step) {
+    below = std::nextafter(below, 0.0);
+    above = std::nextafter(above, 2.0);
+    ExpectLogWithinBound(below);
+    ExpectLogWithinBound(above);
+  }
+}
+
+// The reduction switches between k and k + 1 where the mantissa crosses
+// sqrt(2), i.e. at sqrt(1/2) times a power of two; the switch itself sits
+// at the high word 0x3fe6a09e, just below sqrt(1/2).
+TEST(LogOfNormalTest, AroundTheReductionBoundary) {
+  const double root_half = std::sqrt(0.5);
+  const double switch_point = std::bit_cast<double>(0x3fe6a09e00000000ull);
+  for (const double x : {root_half, switch_point}) {
+    ExpectLogWithinBound(x);
+    ExpectLogWithinBound(std::nextafter(x, 0.0));
+    ExpectLogWithinBound(std::nextafter(x, 1.0));
+  }
+  // The same boundary in every binade of (DBL_MIN, 1], and once above 1.
+  for (int e = -1022; e <= 1; ++e) {
+    const double x = std::ldexp(root_half, e);
+    if (x < std::numeric_limits<double>::min()) continue;
+    ExpectLogWithinBound(x);
+    ExpectLogWithinBound(std::nextafter(x, 0.0));
+    ExpectLogWithinBound(std::nextafter(x, 2.0 * x));
+  }
+}
+
+TEST(LogOfNormalTest, NegativePowersOfTwoDownToDblMin) {
+  const double dbl_min = std::numeric_limits<double>::min();
+  for (int e = 0; e >= -1022; --e) {
+    const double x = std::ldexp(1.0, e);
+    EXPECT_EQ(LogOfNormal(x), std::log(x)) << "2^" << e;
+    if (x > dbl_min) ExpectLogWithinBound(std::nextafter(x, 0.0));
+    ExpectLogWithinBound(std::nextafter(x, 1.0));
+  }
+  EXPECT_EQ(LogOfNormal(dbl_min), std::log(dbl_min));
+}
+
+TEST(LogOfNormalTest, RandomSweepOverUnitInterval) {
+  Rng rng(17);
+  const double dbl_min = std::numeric_limits<double>::min();
+  std::int64_t worst = 0;
+  for (int n = 0; n < 200000; ++n) {
+    // Uniform over the binades (every exponent equally likely), and
+    // uniform over the interval (mostly the top binades).
+    const double binade = std::ldexp(
+        rng.Uniform(1.0, 2.0), -static_cast<int>(rng.UniformIndex(1022)) - 1);
+    const double linear = std::max(rng.Uniform(), dbl_min);
+    for (const double x : {binade, linear}) {
+      worst = std::max(worst, UlpDistance(LogOfNormal(x), std::log(x)));
+    }
+  }
+  EXPECT_LE(worst, kLogUlpBound);
+}
+
+TEST(EntropyTermsInPlaceTest, MatchesEntropyTermWithinTheLogBound) {
+  Rng rng(5);
+  // Odd lengths exercise the vector loop's scalar tail.
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                              std::size_t{64}, std::size_t{1001}}) {
+    std::vector<double> terms(n);
+    for (double& p : terms) p = std::max(rng.Uniform(), 1e-300);
+    if (n > 1) {
+      terms[0] = 1.0;
+      terms[1] = std::numeric_limits<double>::min();
+    }
+    const std::vector<double> probs = terms;
+    EntropyTermsInPlace(terms);
+    for (std::size_t k = 0; k < n; ++k) {
+      const double want = EntropyTerm(probs[k]);
+      // 1 ulp of the log plus the rounding of the product.
+      EXPECT_NEAR(terms[k], want,
+                  4.0 * std::numeric_limits<double>::epsilon() * want)
+          << "p = " << probs[k];
+    }
+  }
 }
 
 TEST(LogSumExpTest, EmptyIsNegInf) {
