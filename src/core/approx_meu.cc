@@ -115,21 +115,34 @@ std::vector<double> EstimateUpdatedProbsLiteral(const Database& db,
 
 namespace {
 
-// Baseline entropies shared by every candidate of one scan.
-struct EntropyBaseline {
-  std::vector<double> item;
+// What every candidate of one scan shares, built once per scan and read by
+// all lanes without synchronization: the baseline entropies and the mask of
+// items whose estimate a validation can move.
+struct ScanState {
+  std::vector<double> entropy;  // Baseline entropy, by ItemId.
   double total = 0.0;
+  // By ItemId: 1 unless the item is pinned, outside the impact filter or
+  // single-claim (a validation moves none of those).
+  std::vector<std::uint8_t> moves;
 };
 
-EntropyBaseline ComputeBaseline(const CompiledDatabase& compiled,
-                                const FusionResult& fusion) {
-  EntropyBaseline baseline;
-  baseline.item.assign(compiled.num_items(), 0.0);
+ScanState PrepareScan(const StrategyContext& ctx,
+                      const std::vector<bool>* impact_filter) {
+  const CompiledDatabase& compiled = *ctx.compiled;
+  ScanState state;
+  state.entropy.assign(compiled.num_items(), 0.0);
+  state.moves.assign(compiled.num_items(), 0);
   for (ItemId i = 0; i < compiled.num_items(); ++i) {
-    baseline.item[i] = fusion.ItemEntropy(i);
-    baseline.total += baseline.item[i];
+    state.entropy[i] = ctx.fusion->ItemEntropy(i);
+    state.total += state.entropy[i];
+    state.moves[i] = compiled.item_num_claims(i) > 1 &&
+                     (impact_filter == nullptr || (*impact_filter)[i]);
   }
-  return baseline;
+  for (const auto& [pinned, prior] : *ctx.priors) {
+    assert(pinned < compiled.num_items());
+    state.moves[pinned] = 0;
+  }
+  return state;
 }
 
 // One neighbour's share of the batched entropy pass: `claims` updated
@@ -180,24 +193,14 @@ double VoterWeight(const CompiledDatabase& compiled,
 // Fills scratch->neighbors with the items whose estimate a validation of
 // `i` moves, in first-seen order of the walk i -> votes -> source -> votes
 // (the order the canonical impact sum visits them in), and leaves exactly
-// those stamped with scratch->current. Pinned distributions, items outside
-// `impact_filter`, items outside i's shard of `confine` (stage-1
-// confinement) and single-claim items do not move.
+// those stamped with scratch->current; the scan's `moves` mask says which
+// items move.
 void CollectImpacted(const StrategyContext& ctx, ItemId i,
-                     const std::vector<bool>* impact_filter,
-                     const ShardPartition* confine, KernelScratch* scratch) {
+                     const ScanState& state, KernelScratch* scratch) {
   const CompiledDatabase& compiled = *ctx.compiled;
   if (scratch->stamp.size() != compiled.num_items()) {
     scratch->stamp.assign(compiled.num_items(), 0);
   }
-  const std::uint32_t home_shard =
-      confine != nullptr ? confine->shard_of(i) : 0;
-  const auto moves = [&](ItemId j) {
-    return !ctx.priors->Has(j) &&
-           (impact_filter == nullptr || (*impact_filter)[j]) &&
-           (confine == nullptr || confine->shard_of(j) == home_shard) &&
-           compiled.item_num_claims(j) > 1;
-  };
   // Stamps only grow, so anything below `still` is unvisited this walk.
   std::vector<std::uint32_t>& stamp = scratch->stamp;
   const std::uint32_t still = ++scratch->current;
@@ -207,7 +210,7 @@ void CollectImpacted(const StrategyContext& ctx, ItemId i,
   compiled.ForEachItemVote(i, [&](SourceId s, ClaimIndex) {
     compiled.ForEachSourceVote(s, [&](ItemId j, std::uint32_t) {
       if (stamp[j] < still) {
-        stamp[j] = moves(j) ? moved : still;
+        stamp[j] = state.moves[j] ? moved : still;
         if (stamp[j] == moved) scratch->neighbors.push_back(j);
       }
     });
@@ -221,7 +224,7 @@ void CollectImpacted(const StrategyContext& ctx, ItemId i,
 // neighbours move by the estimate; everything farther keeps its entropy
 // (Theorem 4.1 truncation).
 double PerHypothesisExpectedEntropy(const StrategyContext& ctx, ItemId i,
-                                    const EntropyBaseline& baseline,
+                                    const ScanState& state,
                                     KernelScratch* scratch) {
   const CompiledDatabase& compiled = *ctx.compiled;
   const FusionResult& fusion = *ctx.fusion;
@@ -230,25 +233,24 @@ double PerHypothesisExpectedEntropy(const StrategyContext& ctx, ItemId i,
     const double pt = fusion.prob(i, t);
     if (pt <= 0.0) continue;  // Zero-probability hypotheses contribute 0.
     ComputeAccuracyDeltas(compiled, fusion, i, t, &scratch->deltas);
-    double estimate = baseline.total - baseline.item[i];
+    double estimate = state.total - state.entropy[i];
     for (ItemId j : scratch->neighbors) {
       EstimateUpdatedProbs(compiled, fusion, j, scratch->deltas,
                            &scratch->updated);
-      estimate += Entropy(scratch->updated) - baseline.item[j];
+      estimate += Entropy(scratch->updated) - state.entropy[j];
     }
     expected += pt * estimate;
   }
   return expected;
 }
 
-// The canonical body: the per-hypothesis body, serial and unconfined. Its
-// summation order defines the canonical gain of the near-tie step.
+// The canonical body: the per-hypothesis body, run serially. Its summation
+// order defines the canonical gain of the near-tie step.
 double CanonicalExpectedEntropyAt(const StrategyContext& ctx, ItemId i,
-                                  const EntropyBaseline& baseline,
-                                  const std::vector<bool>* impact_filter,
+                                  const ScanState& state,
                                   KernelScratch* scratch) {
-  CollectImpacted(ctx, i, impact_filter, /*confine=*/nullptr, scratch);
-  return PerHypothesisExpectedEntropy(ctx, i, baseline, scratch);
+  CollectImpacted(ctx, i, state, scratch);
+  return PerHypothesisExpectedEntropy(ctx, i, state, scratch);
 }
 
 // Appends neighbour j's Eq. (10) update for g(r) = g_of(r), r local, to
@@ -302,7 +304,7 @@ double FlushEntropies(KernelScratch* scratch) {
 // One walk of i's voters' rows fills c_0 and c_1 by global claim id, which
 // gives both hypotheses for every neighbour, of any arity.
 double TwoClaimExpectedEntropy(const StrategyContext& ctx, ItemId i,
-                               const EntropyBaseline& baseline,
+                               const ScanState& state,
                                KernelScratch* scratch) {
   const CompiledDatabase& compiled = *ctx.compiled;
   const FusionResult& fusion = *ctx.fusion;
@@ -331,14 +333,14 @@ double TwoClaimExpectedEntropy(const StrategyContext& ctx, ItemId i,
     for (ClaimIndex t = 0; t < 2; ++t) {
       if (p_i[t] <= 0.0) continue;
       AppendUpdate(
-          p, p_i[t], baseline.item[j],
+          p, p_i[t], state.entropy[j],
           [&](std::size_t r) { return a[t] * c0[r] + b[t] * c1[r]; },
           scratch);
     }
     std::fill_n(c0, p.size(), 0.0);
     std::fill_n(c1, p.size(), 0.0);
   }
-  return mass * (baseline.total - baseline.item[i]) +
+  return mass * (state.total - state.entropy[i]) +
          FlushEntropies(scratch);
 }
 
@@ -352,7 +354,7 @@ double TwoClaimExpectedEntropy(const StrategyContext& ctx, ItemId i,
 // reaches keeps its base estimate, batched once with the mass of the
 // hypotheses that left it there.
 double MultiClaimExpectedEntropy(const StrategyContext& ctx, ItemId i,
-                                 const EntropyBaseline& baseline,
+                                 const ScanState& state,
                                  KernelScratch* scratch) {
   const CompiledDatabase& compiled = *ctx.compiled;
   const FusionResult& fusion = *ctx.fusion;
@@ -398,7 +400,7 @@ double MultiClaimExpectedEntropy(const StrategyContext& ctx, ItemId i,
       const double* const b = base_g + compiled.claim_offset(j);
       double* const e = hyp_g + compiled.claim_offset(j);
       AppendUpdate(
-          p, pt, baseline.item[j], [&](std::size_t r) { return b[r] + e[r]; },
+          p, pt, state.entropy[j], [&](std::size_t r) { return b[r] + e[r]; },
           scratch);
       std::fill_n(e, p.size(), 0.0);
       scratch->reached_mass[j] += pt;
@@ -415,13 +417,13 @@ double MultiClaimExpectedEntropy(const StrategyContext& ctx, ItemId i,
     const double unreached = mass - scratch->reached_mass[j];
     if (unreached > 0.0) {
       AppendUpdate(
-          p, unreached, baseline.item[j], [&](std::size_t r) { return b[r]; },
+          p, unreached, state.entropy[j], [&](std::size_t r) { return b[r]; },
           scratch);
     }
     std::fill_n(b, p.size(), 0.0);
   }
   expected += FlushEntropies(scratch);
-  return mass * (baseline.total - baseline.item[i]) + expected;
+  return mass * (state.total - state.entropy[i]) + expected;
 }
 
 // The fast body of the scan: the expectation of the canonical body from
@@ -429,14 +431,11 @@ double MultiClaimExpectedEntropy(const StrategyContext& ctx, ItemId i,
 // and multi-claim bodies above), with every neighbour's updated entropy
 // computed in one batched, vectorised log pass per flush. When the
 // neighbours' votes times |claims(i)| are fewer than the voters' rows (a
-// sparse impact filter or a small shard) the per-hypothesis body is cheaper
-// and runs instead. A non-null `confine` keeps the impact inside i's own
-// shard. Within 1e-9 * max(|gain|, 1 nat) of the canonical body: the
+// sparse impact filter) the per-hypothesis body is cheaper and runs
+// instead. Within 1e-9 * max(|gain|, 1 nat) of the canonical body: the
 // summation order differs and LogOfNormal is within 1 ulp of std::log.
 double SingleWalkExpectedEntropyAt(const StrategyContext& ctx, ItemId i,
-                                   const EntropyBaseline& baseline,
-                                   const std::vector<bool>* impact_filter,
-                                   const ShardPartition* confine,
+                                   const ScanState& state,
                                    KernelScratch* scratch) {
   const CompiledDatabase& compiled = *ctx.compiled;
   if (scratch->terms.size() != 2 * compiled.num_claims()) {
@@ -444,10 +443,10 @@ double SingleWalkExpectedEntropyAt(const StrategyContext& ctx, ItemId i,
     scratch->g[1].assign(compiled.num_claims(), 0.0);
     scratch->terms.assign(2 * compiled.num_claims(), 0.0);
   }
-  CollectImpacted(ctx, i, impact_filter, confine, scratch);
+  CollectImpacted(ctx, i, state, scratch);
   // The fast bodies walk i's voters' rows; the per-hypothesis body walks
-  // the neighbours' votes once per t. When an impact filter or a shard
-  // leaves few neighbours, the latter is cheaper.
+  // the neighbours' votes once per t. When an impact filter leaves few
+  // neighbours, the latter is cheaper.
   std::size_t voter_rows = 0;
   compiled.ForEachItemVote(i, [&](SourceId s, ClaimIndex) {
     voter_rows += compiled.source_degree(s);
@@ -457,30 +456,28 @@ double SingleWalkExpectedEntropyAt(const StrategyContext& ctx, ItemId i,
     neighbor_votes += compiled.item_votes_end(j) - compiled.item_votes_begin(j);
   }
   if (compiled.item_num_claims(i) * neighbor_votes < voter_rows) {
-    return PerHypothesisExpectedEntropy(ctx, i, baseline, scratch);
+    return PerHypothesisExpectedEntropy(ctx, i, state, scratch);
   }
   if (compiled.item_num_claims(i) == 2) {
-    return TwoClaimExpectedEntropy(ctx, i, baseline, scratch);
+    return TwoClaimExpectedEntropy(ctx, i, state, scratch);
   }
-  return MultiClaimExpectedEntropy(ctx, i, baseline, scratch);
+  return MultiClaimExpectedEntropy(ctx, i, state, scratch);
 }
 
 }  // namespace
 
 double ApproxMeuStrategy::ExpectedEntropyAfterValidation(
     const StrategyContext& ctx, ItemId item,
-    const std::vector<bool>* impact_filter, const ShardPartition* confine) {
+    const std::vector<bool>* impact_filter) {
   assert(ctx.compiled != nullptr && "ApproxMeu requires ctx.compiled");
   KernelScratch scratch;
-  return SingleWalkExpectedEntropyAt(
-      ctx, item, ComputeBaseline(*ctx.compiled, *ctx.fusion), impact_filter,
-      confine, &scratch);
+  return SingleWalkExpectedEntropyAt(ctx, item, PrepareScan(ctx, impact_filter),
+                                     &scratch);
 }
 
 std::vector<double> ApproxMeuStrategy::ScoreCandidates(
     const StrategyContext& ctx, const std::vector<ItemId>& candidates,
-    const std::vector<bool>* impact_filter, CandidateScan* scan,
-    const ShardPartition* confine) {
+    const std::vector<bool>* impact_filter, CandidateScan* scan) {
   assert(ctx.compiled != nullptr && "ApproxMeu requires ctx.compiled");
   VERITAS_SPAN("strategy.approx_meu.score");
   static Counter* lookaheads =
@@ -492,16 +489,14 @@ std::vector<double> ApproxMeuStrategy::ScoreCandidates(
 
   CandidateScan serial;
   if (scan == nullptr) scan = &serial;
-  const EntropyBaseline baseline = ComputeBaseline(*ctx.compiled, *ctx.fusion);
+  const ScanState state = PrepareScan(ctx, impact_filter);
   std::vector<KernelScratch> scratch(scan->lanes());
   return scan->Gains(
       candidates,
       [&](std::size_t lane, std::size_t idx) {
         // Delta EU_i of Eq. (13).
-        return baseline.total -
-               SingleWalkExpectedEntropyAt(ctx, candidates[idx], baseline,
-                                           impact_filter, confine,
-                                           &scratch[lane]);
+        return state.total - SingleWalkExpectedEntropyAt(
+                                 ctx, candidates[idx], state, &scratch[lane]);
       },
       ctx.cancel);
 }
@@ -510,14 +505,13 @@ std::vector<double> ApproxMeuStrategy::CanonicalGains(
     const StrategyContext& ctx, const std::vector<ItemId>& candidates,
     const std::vector<bool>* impact_filter) {
   assert(ctx.compiled != nullptr && "ApproxMeu requires ctx.compiled");
-  const EntropyBaseline baseline = ComputeBaseline(*ctx.compiled, *ctx.fusion);
+  const ScanState state = PrepareScan(ctx, impact_filter);
   KernelScratch scratch;
   std::vector<double> gains;
   gains.reserve(candidates.size());
   for (ItemId i : candidates) {
-    gains.push_back(baseline.total - CanonicalExpectedEntropyAt(
-                                         ctx, i, baseline, impact_filter,
-                                         &scratch));
+    gains.push_back(state.total -
+                    CanonicalExpectedEntropyAt(ctx, i, state, &scratch));
   }
   return gains;
 }
@@ -527,15 +521,14 @@ std::vector<ItemId> ApproxMeuStrategy::SelectTopK(
     const std::vector<double>& gains, std::size_t k,
     const std::vector<bool>* impact_filter) {
   // Built on the first near tie: most rounds re-score nothing.
-  std::optional<EntropyBaseline> baseline;
+  std::optional<ScanState> state;
   KernelScratch scratch;
   return CandidateScan::SelectTopK(
       candidates, gains, k,
       [&](std::size_t idx) {
-        if (!baseline) baseline = ComputeBaseline(*ctx.compiled, *ctx.fusion);
-        return baseline->total -
-               CanonicalExpectedEntropyAt(ctx, candidates[idx], *baseline,
-                                          impact_filter, &scratch);
+        if (!state) state = PrepareScan(ctx, impact_filter);
+        return state->total - CanonicalExpectedEntropyAt(
+                                  ctx, candidates[idx], *state, &scratch);
       },
       ctx.cancel);
 }
@@ -546,39 +539,9 @@ std::vector<ItemId> ApproxMeuStrategy::SelectBatch(const StrategyContext& ctx,
       "strategy.approx_meu.select_calls");
   select_calls->Add(1);
   const std::vector<ItemId> candidates = CandidateItems(ctx);
-  const std::size_t shards =
-      ctx.fusion_opts != nullptr ? ctx.fusion_opts->shards : 1;
-  if (shards <= 1 || candidates.size() <= batch) {
-    const std::vector<double> gains =
-        ScoreCandidates(ctx, candidates, /*impact_filter=*/nullptr, &scan_);
-    return SelectTopK(ctx, candidates, gains, batch,
-                      /*impact_filter=*/nullptr);
-  }
-
-  // The sharded two-stage selection (fusion/sharded_scan.h). Stage 1 is one
-  // pooled scan over ALL candidates with the partition as the confinement
-  // predicate — each candidate's entropy impact only counts neighbours in
-  // its own shard, so a head source's cross-shard fan-out is never walked
-  // during the estimate pass. Confinement is a pure function of
-  // (partition, i, j) and gains land in disjoint slots, so the result is
-  // identical for any shard x thread combination (asserted by
-  // fusion_sharded_scan_test). Stage 2 re-scores the merged pool unfiltered
-  // and selects with the same near-tie step as the flat scan.
-  // Only the compiled view is needed, so this runs for every fusion model.
-  VERITAS_SPAN("strategy.approx_meu.select_sharded");
-  shard_plan_.Prepare(*ctx.compiled, shards);
-  const ShardPartition& partition = shard_plan_.partition();
-  const ShardedScanResult result = RunShardedScan(
-      candidates, batch, partition,
-      [&](const std::vector<ItemId>& items, std::size_t /*quota*/) {
-        return ScoreCandidates(ctx, items, /*impact_filter=*/nullptr, &scan_,
-                               &partition);
-      },
-      [&](const std::vector<ItemId>& pool, std::size_t /*top_k*/) {
-        return ScoreCandidates(ctx, pool, /*impact_filter=*/nullptr, &scan_);
-      });
-  return SelectTopK(ctx, result.pool, result.gains, batch,
-                    /*impact_filter=*/nullptr);
+  const std::vector<double> gains =
+      ScoreCandidates(ctx, candidates, /*impact_filter=*/nullptr, &scan_);
+  return SelectTopK(ctx, candidates, gains, batch, /*impact_filter=*/nullptr);
 }
 
 }  // namespace veritas

@@ -42,9 +42,11 @@
 // std::log. The per-lane scratch is O(num_items + num_claims) whatever
 // |claims(i)| is and resets through the neighbour and reached lists, so
 // scoring a candidate allocates nothing once a lane's scratch has grown to
-// the view. A candidate whose neighbours are so few (an impact filter, a
-// small shard) that walking their votes once per t is cheaper than the
-// voters' rows runs the per-hypothesis body below.
+// the view. A candidate whose neighbours an impact filter leaves so few
+// that walking their votes once per t is cheaper than the voters' rows runs
+// the per-hypothesis body below. Which items a validation can move at all
+// (not pinned, inside the impact filter, more than one claim) is one byte
+// mask per scan, shared read-only by the lanes.
 //
 // The fast bodies sum in another order than the per-hypothesis body (one
 // Eq. (9)/(10) pass per t over every neighbour's votes, entropies by
@@ -60,7 +62,6 @@
 
 #include "core/candidate_scan.h"
 #include "core/strategy.h"
-#include "fusion/sharded_scan.h"
 
 namespace veritas {
 
@@ -120,25 +121,19 @@ class ApproxMeuStrategy : public Strategy {
   /// Expected total entropy after validating `item`, under the differential
   /// estimate (the EU* of Table 9). When `impact_filter` is non-null, only
   /// neighbour items j with (*impact_filter)[j] participate in the impact
-  /// computation (used by Approx-MEU_k, §4.3); a non-null `confine` keeps
-  /// the impact inside item's shard. Runs the fast body of ScoreCandidates.
+  /// computation (used by Approx-MEU_k, §4.3). Runs the fast body of
+  /// ScoreCandidates.
   static double ExpectedEntropyAfterValidation(
       const StrategyContext& ctx, ItemId item,
-      const std::vector<bool>* impact_filter,
-      const ShardPartition* confine = nullptr);
+      const std::vector<bool>* impact_filter);
 
   /// Scores Delta-EU (Eq. 13 gain) for each candidate; shared with the
   /// hybrid strategy. With a non-null `scan` the candidates fan out over its
   /// lanes (null scores them serially); gains land in disjoint slots so the
-  /// result is lane-count independent. A non-null `confine` restricts each
-  /// candidate's neighbour impact to the candidate's own shard of the
-  /// partition — the sharded stage-1 semantics — which lets one pooled pass
-  /// score candidates of *different* shards concurrently (confinement is a
-  /// pure per-(i, j) predicate, so no cross-shard state is shared).
+  /// result is lane-count independent.
   static std::vector<double> ScoreCandidates(
       const StrategyContext& ctx, const std::vector<ItemId>& candidates,
-      const std::vector<bool>* impact_filter, CandidateScan* scan = nullptr,
-      const ShardPartition* confine = nullptr);
+      const std::vector<bool>* impact_filter, CandidateScan* scan = nullptr);
 
   /// Delta-EU of every candidate from the canonical body, serially: the
   /// reference the fast bodies and the near-tie step are checked against.
@@ -157,7 +152,6 @@ class ApproxMeuStrategy : public Strategy {
 
  private:
   CandidateScan scan_;
-  ShardedScanPlan shard_plan_;  // Cached partition (view/shard-count keyed).
 };
 
 }  // namespace veritas

@@ -39,13 +39,13 @@ struct FusionOptions {
   /// cold-started runs stay on the full path so the paper's worked examples
   /// remain bit-exact.
   bool use_delta_fusion = true;
-  /// Number of item-disjoint shards for the MEU-family candidate scans
-  /// (DESIGN.md §5h). <= 1 keeps the classic single-view scan. With N > 1
-  /// the scan runs a shard-confined estimate pass per shard, merges the
-  /// per-shard top candidates, and re-ranks the merged pool with exact
-  /// unconfined lookaheads — selections stay deterministic for any shard
-  /// count × thread count. Fusion itself (Fuse) is unaffected; only the
-  /// strategies' lookahead scans read this.
+  /// Number of item-disjoint shards for MEU's candidate scan (DESIGN.md
+  /// §5h). <= 1 keeps the classic single-view scan. With N > 1 the scan
+  /// runs a shard-confined estimate pass per shard, merges the per-shard
+  /// top candidates, and re-ranks the merged pool with exact unconfined
+  /// lookaheads — selections stay deterministic for any shard count ×
+  /// thread count. Fusion itself (Fuse) is unaffected, and so is every
+  /// other strategy: only MEU's lookahead scan reads this.
   std::size_t shards = 1;
   /// Optional hard-stop token (not owned; may be null). Iterative models
   /// poll it once per claim/accuracy alternation and bail at the next

@@ -1,6 +1,6 @@
-// Sharded candidate-scan coordination (DESIGN.md §5h). The MEU-family
-// lookahead scans decouple from the single flat CSR by a two-stage protocol
-// behind FusionOptions::shards:
+// Sharded candidate-scan coordination (DESIGN.md §5h). MEU's lookahead
+// scan decouples from the single flat CSR by a two-stage protocol behind
+// FusionOptions::shards (no other strategy reads it):
 //
 //   stage 1 (per shard): candidates are scored with *shard-confined*
 //     lookaheads — the delta engine's propagation frontier never leaves the

@@ -14,7 +14,6 @@
 #include "core/strategy_factory.h"
 #include "data/synthetic.h"
 #include "fusion/accu.h"
-#include "model/shard_partition.h"
 #include "util/math.h"
 
 namespace veritas {
@@ -200,14 +199,12 @@ TEST_P(DifferentialInvariantTest, FastEqualsLiteralEverywhere) {
 // Brute-force Approx-MEU expected entropy (Eq. 13 under the one-hop
 // truncation), sharing nothing with the CSR kernel but the Eq. (9) deltas:
 // neighbours from a plain Database walk, the literal Eq. (10) form, and
-// Entropy over a fresh vector per neighbour. A non-null `confine` drops the
-// neighbours outside i's shard, as the sharded stage 1 does.
+// Entropy over a fresh vector per neighbour.
 double ReferenceExpectedEntropy(const Database& db,
                                 const CompiledDatabase& compiled,
                                 const FusionResult& fusion,
                                 const PriorSet& priors, ItemId i,
-                                const std::vector<bool>* impact_filter,
-                                const ShardPartition* confine = nullptr) {
+                                const std::vector<bool>* impact_filter) {
   std::set<ItemId> neighbors;
   for (const ItemVote& iv : db.item_votes(i)) {
     for (const Vote& vote : db.source(iv.source).votes) {
@@ -226,9 +223,6 @@ double ReferenceExpectedEntropy(const Database& db,
     for (ItemId j : neighbors) {
       if (priors.Has(j) || db.num_claims(j) <= 1) continue;
       if (impact_filter != nullptr && !(*impact_filter)[j]) continue;
-      if (confine != nullptr && confine->shard_of(j) != confine->shard_of(i)) {
-        continue;
-      }
       estimate += Entropy(EstimateUpdatedProbsLiteral(db, fusion, j, deltas)) -
                   fusion.ItemEntropy(j);
     }
@@ -290,10 +284,10 @@ TEST_P(DifferentialInvariantTest, CsrKernelMatchesBruteForceReference) {
 // The fast kernel on what the binary sweep above cannot reach: items of up
 // to four claims (so the hypotheses t run past 2, the multi-claim body),
 // two-claim candidates next to 3- and 4-claim items (the two-claim body's
-// g(v; t) then spans all of a neighbour's claims), confined scoring against
-// a ShardPartition, and one-hot as well as soft pins. The kernel's gains
-// also stay within the documented error of the canonical body's, 1e-9 *
-// max(|gain|, kNearTieFloor), which the near-tie window is twice of.
+// g(v; t) then spans all of a neighbour's claims), and one-hot as well as
+// soft pins. The kernel's gains also stay within the documented error of
+// the canonical body's, 1e-9 * max(|gain|, kNearTieFloor), which the
+// near-tie window is twice of.
 TEST_P(DifferentialInvariantTest,
        SingleWalkMatchesBruteForceOnMultiClaimItems) {
   // Two-claim candidates that reach a 3-claim and a 4-claim item. The
@@ -348,23 +342,17 @@ TEST_P(DifferentialInvariantTest,
       for (ItemId j : ApproxMeuKStrategy::FilterCandidates(ctx, 20.0)) {
         top_k[j] = true;
       }
-      const ShardPartition partition(compiled, 3);
 
       const std::vector<bool>* filters[] = {nullptr, &top_k};
-      const ShardPartition* confines[] = {nullptr, &partition};
       for (ItemId i = 0; i < data.db.num_items(); ++i) {
         for (const std::vector<bool>* filter : filters) {
-          for (const ShardPartition* confine : confines) {
-            const double want = ReferenceExpectedEntropy(
-                data.db, compiled, fusion, priors, i, filter, confine);
-            const double got =
-                ApproxMeuStrategy::ExpectedEntropyAfterValidation(
-                    ctx, i, filter, confine);
-            EXPECT_NEAR(got, want, 1e-9 * std::fabs(want))
-                << label << " item " << i
-                << (filter != nullptr ? " (top-k filter)" : "")
-                << (confine != nullptr ? " (confined)" : "");
-          }
+          const double want = ReferenceExpectedEntropy(
+              data.db, compiled, fusion, priors, i, filter);
+          const double got =
+              ApproxMeuStrategy::ExpectedEntropyAfterValidation(ctx, i, filter);
+          EXPECT_NEAR(got, want, 1e-9 * std::fabs(want))
+              << label << " item " << i
+              << (filter != nullptr ? " (top-k filter)" : "");
         }
       }
       const std::vector<ItemId> candidates = CandidateItems(ctx);

@@ -66,7 +66,7 @@ void PrintUsage() {
       "               [--oracle perfect] [--batch 1] [--seed 42]\n"
       "               [--model accu] [--threads 1]\n"
       "               [--no-delta]  (full re-fusion for MEU lookaheads)\n"
-      "               [--shards 1]\n"
+      "               [--shards 1]  (MEU only)\n"
       "               [--flaky <p|plan>] [--retries 3]\n"
       "               [--checkpoint ckpt] [--checkpoint-every 1]\n"
       "               [--resume ckpt] [--deadline-ms N]\n"
@@ -276,8 +276,9 @@ Status RunSession(const ArgMap& args) {
   // incremental DeltaFusionEngine. Post-feedback re-fusions are full warm
   // Fuses either way.
   options.fusion.use_delta_fusion = !args.GetBool("no-delta");
-  // --shards > 1 routes the MEU-family candidate scans through the
-  // two-stage sharded protocol (DESIGN.md §5h); 1 is the classic flat scan.
+  // --shards > 1 routes MEU's candidate scan through the two-stage sharded
+  // protocol (DESIGN.md §5h); 1 is the classic flat scan. MEU only: every
+  // other strategy runs its flat scan whatever the shard count.
   VERITAS_ASSIGN_OR_RETURN(long shards, args.GetInt("shards", 1));
   if (shards < 1) {
     return Status::InvalidArgument("--shards must be >= 1");
